@@ -380,9 +380,10 @@ impl MultiStage {
             .1
     }
 
-    /// Per-stage class probabilities for one embedded VUC.
+    /// Per-stage class probabilities for one embedded VUC: the
+    /// batched path on a batch of one.
     pub fn stage_probs(&self, stage: StageId, x: &[f32]) -> Vec<f32> {
-        self.stage(stage).predict(x)
+        self.stage_probs_batch(stage, &[x][..]).into_flat()
     }
 
     /// Per-stage class probabilities for a batch of embedded VUCs
@@ -396,26 +397,57 @@ impl MultiStage {
 
     /// Leaf distributions of a whole batch of embedded VUCs: one
     /// batched pass per stage, then the per-sample root-to-leaf
-    /// products, as an `n × 19` tensor. Row `i` equals
-    /// `leaf_distribution(xs row i)`.
+    /// products, as an `n × 19` tensor. The probability of each leaf
+    /// is the product of the stage probabilities along its
+    /// root-to-leaf path.
     pub fn leaf_distributions_batch<R: Rows + ?Sized>(&self, xs: &R) -> Tensor {
-        let per_stage: Vec<(StageId, Tensor)> = StageId::ALL
+        self.leaf_distributions_observed(xs, &cati_obs::NOOP)
+    }
+
+    /// [`MultiStage::leaf_distributions_batch`] with telemetry: bumps
+    /// `classify.conv1_columns` by the conv1 input columns of the
+    /// batch and `classify.conv1_triples` by the distinct input
+    /// windows among them, the conv1 work each stage does. The six
+    /// stages share one [`cati_nn::Conv1Index`] (they share
+    /// `embed_dim` and `seq_len`). The result is identical for any
+    /// observer.
+    pub fn leaf_distributions_observed<R: Rows + ?Sized>(
+        &self,
+        xs: &R,
+        obs: &dyn Observer,
+    ) -> Tensor {
+        let index = self.stage(StageId::Stage1).conv1_index(xs);
+        obs.event(&Event::Counter {
+            name: "classify.conv1_columns",
+            delta: index.columns() as u64,
+        });
+        obs.event(&Event::Counter {
+            name: "classify.conv1_triples",
+            delta: index.triples() as u64,
+        });
+        let per_stage: Vec<Tensor> = StageId::ALL
             .iter()
-            .map(|&s| (s, self.stage_probs_batch(s, xs)))
+            .map(|&s| self.stage(s).predict_indexed(&index))
+            .collect();
+        // Each leaf's path as (position in StageId::ALL, label).
+        let paths: Vec<Vec<(usize, usize)>> = TypeClass::ALL
+            .iter()
+            .map(|&class| {
+                StageId::path_of(class)
+                    .into_iter()
+                    .map(|(stage, label)| {
+                        let pos = StageId::ALL.iter().position(|&s| s == stage);
+                        (pos.expect("every stage is in StageId::ALL"), label)
+                    })
+                    .collect()
+            })
             .collect();
         let mut out = Tensor::zeros(xs.count(), TypeClass::ALL.len());
         for i in 0..xs.count() {
-            let prob = |stage: StageId, label: usize| -> f32 {
-                per_stage
+            for (slot, path) in out.row_mut(i).iter_mut().zip(&paths) {
+                *slot = path
                     .iter()
-                    .find(|(s, _)| *s == stage)
-                    .map(|(_, p)| p.row(i)[label])
-                    .unwrap_or(0.0)
-            };
-            for (slot, &class) in out.row_mut(i).iter_mut().zip(TypeClass::ALL.iter()) {
-                *slot = StageId::path_of(class)
-                    .into_iter()
-                    .map(|(stage, label)| prob(stage, label))
+                    .map(|&(stage, label)| per_stage[stage].row(i)[label])
                     .product();
             }
         }
@@ -423,29 +455,9 @@ impl MultiStage {
     }
 
     /// The full 19-class leaf distribution of one embedded VUC: the
-    /// probability of each leaf is the product of the stage
-    /// probabilities along its root-to-leaf path.
+    /// batched path on a batch of one.
     pub fn leaf_distribution(&self, x: &[f32]) -> Vec<f32> {
-        let per_stage: Vec<(StageId, Vec<f32>)> = StageId::ALL
-            .iter()
-            .map(|&s| (s, self.stage_probs(s, x)))
-            .collect();
-        let prob = |stage: StageId, label: usize| -> f32 {
-            per_stage
-                .iter()
-                .find(|(s, _)| *s == stage)
-                .map(|(_, p)| p[label])
-                .unwrap_or(0.0)
-        };
-        TypeClass::ALL
-            .iter()
-            .map(|&class| {
-                StageId::path_of(class)
-                    .into_iter()
-                    .map(|(stage, label)| prob(stage, label))
-                    .product()
-            })
-            .collect()
+        self.leaf_distributions_batch(&[x][..]).into_flat()
     }
 
     /// Greedy tree descent: the argmax label at each stage decides the
@@ -495,6 +507,53 @@ mod tests {
         let sum: f32 = dist.iter().sum();
         assert!((sum - 1.0).abs() < 1e-3, "leaf distribution sums to {sum}");
         assert!(dist.iter().all(|p| *p >= 0.0));
+    }
+
+    /// The shared-index leaf pass equals the product of the per-stage
+    /// batched passes along each leaf's path, bit for bit, at any
+    /// thread count, and counts its conv1 work.
+    #[test]
+    fn shared_index_leaf_distributions_match_per_stage_products() {
+        let (ms, embedder, ds) = trained();
+        // 61 rows: seven full 8-row tiles plus a 5-row tail.
+        let xs = Tensor::from_rows(
+            ds.entries[0]
+                .1
+                .vucs
+                .iter()
+                .cycle()
+                .take(61)
+                .map(|v| embedder.embed_window(&v.insns)),
+        );
+        let mut runs = Vec::new();
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let rec = cati_obs::Recorder::new(cati_obs::RecorderConfig::default());
+            let (leaf, per_stage) = pool.install(|| {
+                (
+                    ms.leaf_distributions_observed(&xs, &rec),
+                    StageId::ALL.map(|s| ms.stage_probs_batch(s, &xs)),
+                )
+            });
+            let columns = rec.metrics().counter_value("classify.conv1_columns");
+            let triples = rec.metrics().counter_value("classify.conv1_triples");
+            assert_eq!(columns, (61 * cati_analysis::VUC_LEN) as u64);
+            assert!(triples > 0 && triples < columns, "{triples} of {columns}");
+            for i in 0..xs.rows() {
+                for (&p, &class) in leaf.row(i).iter().zip(TypeClass::ALL.iter()) {
+                    let want: f32 = StageId::path_of(class)
+                        .into_iter()
+                        .map(|(s, label)| per_stage[s as usize].row(i)[label])
+                        .product();
+                    assert_eq!(p.to_bits(), want.to_bits(), "row {i} {class:?}");
+                }
+            }
+            runs.push(leaf);
+        }
+        assert_eq!(runs[0], runs[1], "thread count changed the leaf pass");
     }
 
     #[test]

@@ -250,7 +250,8 @@ impl Cati {
     }
 
     /// [`Cati::evaluate`] with telemetry: an `evaluate` span, an
-    /// `embed.windows` counter, vote clip-rate counters
+    /// `embed.windows` counter, the `classify.conv1_columns` /
+    /// `classify.conv1_triples` work counters, vote clip-rate counters
     /// (`vote.clipped` / `vote.considered`), and a winning-share
     /// histogram (`vote.confidence`). The evaluation is bit-identical
     /// to the unobserved path for any observer.
@@ -280,7 +281,9 @@ impl Cati {
         obs: &dyn Observer,
     ) -> Evaluation {
         let _span = SpanGuard::enter(obs, "evaluate");
-        let vuc_dists = self.stages.leaf_distributions_batch(session.embedded());
+        let vuc_dists = self
+            .stages
+            .leaf_distributions_observed(session.embedded(), obs);
         self.vote_dists(session.extraction(), vuc_dists, obs)
     }
 

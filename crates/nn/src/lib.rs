@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
+pub mod conv1_cache;
 pub mod layers;
 pub mod mmap;
 pub mod model;
@@ -38,6 +39,7 @@ pub mod param;
 pub mod quant;
 pub mod tensor;
 
+pub use conv1_cache::Conv1Index;
 pub use mmap::{MapSlice, MappedFile};
 pub use model::{NoHook, SampleSource, TextCnn, TextCnnConfig, TrainHook, Workspace};
 pub use optim::{Adam, GradBuffers, Sgd};

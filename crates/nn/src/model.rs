@@ -6,6 +6,7 @@
 //! c2=64, fc=1024 over a 21×96 input; everything is configurable so
 //! tests can run a tiny instance.
 
+use crate::conv1_cache::Conv1Index;
 use crate::layers::{
     cross_entropy_backward, maxpool2, maxpool2_backward, maxpool2_lanes, relu, relu_backward,
     softmax, Conv1d, Dense, LANES,
@@ -171,9 +172,8 @@ pub struct Workspace {
 #[derive(Debug, Default)]
 struct BatchWorkspace {
     ws: Workspace,
-    /// Input tile transposed to `[embed_dim][seq_len][LANES]`.
-    xt: Vec<f32>,
-    /// First conv activations `[conv1][seq_len][LANES]`.
+    /// First conv activations `[conv1][seq_len][LANES]`, gathered
+    /// from the slot cache.
     c1t: Vec<f32>,
     /// First pooled activations `[conv1][seq_len/2][LANES]`.
     p1t: Vec<f32>,
@@ -351,9 +351,14 @@ impl TextCnn {
     /// feature vector in `ws.p2` (and the intermediate activations /
     /// argmaxes the backward pass needs in the workspace).
     fn conv_features(&self, x: &[f32], ws: &mut Workspace) {
-        let len = self.cfg.seq_len;
-        self.conv1.forward(x, len, &mut ws.c1);
+        self.conv1.forward(x, self.cfg.seq_len, &mut ws.c1);
         relu(&mut ws.c1);
+        self.pool_features(ws);
+    }
+
+    /// The conv half after the first ReLU: `ws.c1` → `ws.p2`.
+    fn pool_features(&self, ws: &mut Workspace) {
+        let len = self.cfg.seq_len;
         let (p1, a1) = maxpool2(&ws.c1, self.cfg.conv1, len);
         ws.p1 = p1;
         ws.a1 = a1;
@@ -365,12 +370,17 @@ impl TextCnn {
         ws.a2 = a2;
     }
 
-    /// Forward pass into `ws`; returns the logits slice.
-    pub fn forward<'w>(&self, x: &[f32], ws: &'w mut Workspace) -> &'w [f32] {
-        self.conv_features(x, ws);
+    /// The dense half: `ws.p2` → `ws.logits`.
+    fn dense_head(&self, ws: &mut Workspace) {
         self.fc1.forward(&ws.p2, &mut ws.h);
         relu(&mut ws.h);
         self.fc2.forward(&ws.h, &mut ws.logits);
+    }
+
+    /// Forward pass into `ws`; returns the logits slice.
+    pub fn forward<'w>(&self, x: &[f32], ws: &'w mut Workspace) -> &'w [f32] {
+        self.conv_features(x, ws);
+        self.dense_head(ws);
         &ws.logits
     }
 
@@ -385,53 +395,89 @@ impl TextCnn {
 
     /// Class probabilities for a batch of inputs, written into one
     /// flat `n × classes` [`Tensor`]. Row `i` equals
-    /// `predict(row i)`; workers reuse one [`Workspace`] per thread
-    /// instead of allocating activations (or an output row) per
-    /// sample. Inputs are anything implementing [`Rows`] — a
-    /// [`Tensor`], owned rows, or borrowed rows (`Vec<&[f32]>`), so
-    /// callers can batch a selected subset of a table without copying
-    /// it.
+    /// `predict(row i)` bit for bit. Inputs are anything implementing
+    /// [`Rows`] — a [`Tensor`], owned rows, or borrowed rows
+    /// (`Vec<&[f32]>`), so callers can batch a selected subset of a
+    /// table without copying it.
     ///
-    /// Samples are processed in [`LANES`]-row tiles that run the
-    /// whole network *lane-major* — samples as the innermost
-    /// contiguous dimension. The input rows transpose once into an
-    /// `[embed_dim][seq_len][LANES]` tile, then every layer
-    /// ([`Conv1d::forward_lanes`], [`maxpool2_lanes`], [`relu`],
-    /// [`Dense::forward_batch`]) streams its weights through once per
-    /// tile while operating on 8 contiguous sample lanes at a time.
-    /// Per-sample accumulation chains are unchanged, so every
-    /// probability is bitwise identical to the one-sample path
-    /// (pinned by test and by the golden-prediction fixtures).
+    /// Indexes the batch's conv1 input windows
+    /// ([`TextCnn::conv1_index`]) and runs
+    /// [`TextCnn::predict_indexed`].
     pub fn predict_batch<R: Rows + ?Sized>(&self, xs: &R) -> Tensor {
+        self.predict_indexed(&self.conv1_index(xs))
+    }
+
+    /// The [`Conv1Index`] of `xs` for this model's first convolution.
+    /// Every model with the same `embed_dim` and `seq_len` can share
+    /// it (the kernel width is fixed by the architecture).
+    pub fn conv1_index<R: Rows + ?Sized>(&self, xs: &R) -> Conv1Index {
+        Conv1Index::build(xs, self.conv1.in_ch, self.cfg.seq_len, self.conv1.k)
+    }
+
+    /// Class probabilities of every row `index` covers, bitwise equal
+    /// to `predict` of each row.
+    ///
+    /// Conv1 + ReLU runs once per distinct input window
+    /// ([`Conv1Index`]); each row's activations are then gathered from
+    /// that slot cache. Rows go through in [`LANES`]-row tiles that
+    /// run the rest of the network *lane-major* — samples as the
+    /// innermost contiguous dimension: [`maxpool2_lanes`],
+    /// [`Conv1d::forward_lanes`], [`relu`] and
+    /// [`Dense::forward_batch`] stream their weights through once per
+    /// tile while operating on 8 contiguous sample lanes at a time.
+    /// A partial tail tile runs the per-sample layers. Per-sample
+    /// accumulation chains are unchanged throughout (pinned by test
+    /// and by the golden-prediction fixtures).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` was built for another input geometry.
+    pub fn predict_indexed(&self, index: &Conv1Index) -> Tensor {
         const L: usize = LANES;
         let classes = self.cfg.classes;
         let len = self.cfg.seq_len;
         let len2 = len / 2;
+        let oc = self.conv1.out_ch;
+        assert!(
+            index.fits(&self.conv1, len),
+            "conv1 index built for another input geometry"
+        );
+        let mut cache = Vec::new();
+        index.fill(&self.conv1, &mut cache);
+        // Copies one row's conv1 activations out of the slot cache
+        // into `dst`, laid out `[conv1][seq_len][stride]` at `lane`.
+        let gather = |row: usize, dst: &mut [f32], stride: usize, lane: usize| {
+            for (t, &slot) in index.row_slots(row).iter().enumerate() {
+                for (o, &v) in cache[slot as usize * oc..][..oc].iter().enumerate() {
+                    dst[(o * len + t) * stride + lane] = v;
+                }
+            }
+        };
         Tensor::build_row_blocks(
-            xs.count(),
+            index.rows(),
             classes,
             L,
             BatchWorkspace::default,
             |bw, first, chunk| {
                 let n = chunk.len() / classes;
                 if n < L {
-                    // Partial tail tile: plain per-sample path.
+                    // Partial tail tile: per-sample layers after conv1.
                     for (j, out) in chunk.chunks_mut(classes).enumerate() {
-                        self.forward(xs.row_at(first + j), &mut bw.ws);
+                        bw.ws.c1.clear();
+                        bw.ws.c1.resize(oc * len, 0.0);
+                        gather(first + j, &mut bw.ws.c1, 1, 0);
+                        self.pool_features(&mut bw.ws);
+                        self.dense_head(&mut bw.ws);
                         out.copy_from_slice(&bw.ws.logits);
                         softmax(out);
                     }
                     return;
                 }
-                bw.xt.clear();
-                bw.xt.resize(self.cfg.embed_dim * len * L, 0.0);
+                bw.c1t.clear();
+                bw.c1t.resize(oc * len * L, 0.0);
                 for j in 0..L {
-                    for (e, &v) in xs.row_at(first + j).iter().enumerate() {
-                        bw.xt[e * L + j] = v;
-                    }
+                    gather(first + j, &mut bw.c1t, L, j);
                 }
-                self.conv1.forward_lanes(&bw.xt, len, &mut bw.c1t);
-                relu(&mut bw.c1t);
                 maxpool2_lanes(&bw.c1t, self.cfg.conv1, len, &mut bw.p1t);
                 self.conv2.forward_lanes(&bw.p1t, len2, &mut bw.c2t);
                 relu(&mut bw.c2t);

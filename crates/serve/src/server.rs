@@ -41,7 +41,7 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -229,6 +229,11 @@ impl ResponseSlot {
     }
 }
 
+/// How long [`ServerHandle::wait`] lets connection threads finish
+/// writing after the workers exit. A client that never sends its
+/// request cannot hold shutdown longer than this.
+const CONNECTION_DRAIN_LIMIT: Duration = Duration::from_secs(2);
+
 /// One admitted inference request.
 struct Job {
     binary: Binary,
@@ -255,6 +260,9 @@ struct ServeState {
     /// Unix-ms at daemon start; makes generated trace ids distinct
     /// across daemon restarts, not just within one.
     trace_epoch_ms: u64,
+    /// Connection threads still running ([`ConnectionGuard`]).
+    connections: Mutex<usize>,
+    connections_done: Condvar,
 }
 
 impl ServeState {
@@ -282,6 +290,33 @@ impl ServeState {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_ready.notify_all();
         let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// Counts one connection thread in [`ServeState::connections`] for as
+/// long as it lives.
+struct ConnectionGuard(Arc<ServeState>);
+
+impl ConnectionGuard {
+    fn new(state: &Arc<ServeState>) -> ConnectionGuard {
+        *state
+            .connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) += 1;
+        ConnectionGuard(Arc::clone(state))
+    }
+}
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        // A bare counter is valid after any panic, so a poisoned lock
+        // is recovered rather than propagated out of `drop`.
+        *self
+            .0
+            .connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.0.connections_done.notify_all();
     }
 }
 
@@ -318,7 +353,10 @@ impl ServerHandle {
     }
 
     /// Blocks until the accept loop and all workers exit (i.e. until
-    /// [`ServerHandle::shutdown`] or `POST /admin/shutdown`).
+    /// [`ServerHandle::shutdown`] or `POST /admin/shutdown`), then
+    /// until every connection thread has written its response and
+    /// closed its socket, for at most 2 s. A process that exits after
+    /// `wait` has therefore answered the request that shut it down.
     pub fn wait(&mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -326,6 +364,15 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        let open = self
+            .state
+            .connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let _ = self
+            .state
+            .connections_done
+            .wait_timeout_while(open, CONNECTION_DRAIN_LIMIT, |n| *n > 0);
     }
 }
 
@@ -374,6 +421,8 @@ impl Server {
             shutdown: AtomicBool::new(false),
             trace_seq: AtomicU64::new(0),
             trace_epoch_ms: cati_obs::manifest::unix_ms(),
+            connections: Mutex::new(0),
+            connections_done: Condvar::new(),
         });
         let workers = (0..state.cfg.workers.max(1))
             .map(|_| {
@@ -417,8 +466,14 @@ fn accept_loop(state: &Arc<ServeState>, listener: &TcpListener) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let state = Arc::clone(state);
-        std::thread::spawn(move || handle_connection(&state, &stream));
+        let conn = ConnectionGuard::new(state);
+        std::thread::spawn(move || {
+            handle_connection(&conn.0, &stream);
+            // Close the socket before releasing the guard: once the
+            // count drains, every response has reached its client.
+            drop(stream);
+            drop(conn);
+        });
     }
 }
 
@@ -845,7 +900,7 @@ fn process_batch(state: &Arc<ServeState>, model: &ModelSlot, jobs: Vec<Job>) {
     }
     let dists = cati
         .config
-        .with_threads(|| cati.stages.leaf_distributions_batch(&batch_xs));
+        .with_threads(|| cati.stages.leaf_distributions_observed(&batch_xs, obs));
     let num_classes = dists.cols();
     let leaf_ms = classify_t0.elapsed().as_secs_f64() * 1e3;
     for _ in &prepared {

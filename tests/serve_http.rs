@@ -8,6 +8,7 @@
 //! model hot-swap. Overload and deadline behavior must be clean
 //! protocol answers (503/504), never hangs or panics.
 
+use std::io::Read;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -629,6 +630,35 @@ fn debug_profile_exposes_the_span_tree() {
     };
     assert!(batch["calls"].as_u64().is_some_and(|c| c >= 1));
     assert!(batch["total_ns"].as_u64().is_some_and(|ns| ns > 0));
+}
+
+/// `cati serve` exits as soon as `ServerHandle::wait` returns, so the
+/// answer to `POST /admin/shutdown` must be written by then. After
+/// `wait`, the whole response — and the close of the connection —
+/// must already sit in the client's socket, on every one of several
+/// shutdowns.
+#[test]
+fn shutdown_is_answered_before_wait_returns() {
+    for round in 0..10 {
+        let mut handle = start(ephemeral(ServeConfig::default()));
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        Request::new("POST", "/admin/shutdown")
+            .write_to(&mut stream)
+            .unwrap();
+        handle.wait();
+        stream.set_nonblocking(true).unwrap();
+        let mut bytes = Vec::new();
+        stream
+            .read_to_end(&mut bytes)
+            .unwrap_or_else(|e| panic!("round {round}: response not complete at wait(): {e}"));
+        let response = Response::read_from(&mut &bytes[..]).expect("response");
+        assert_eq!(response.status, 200, "round {round}");
+        assert_eq!(
+            text(&response),
+            r#"{"status":"shutting-down"}"#,
+            "round {round}"
+        );
+    }
 }
 
 fn text(response: &Response) -> String {
