@@ -176,6 +176,83 @@ impl Conv1d {
             }
         }
     }
+
+    /// Lane-major backward over the first `active` lanes of a
+    /// [`LANES`]-sample tile: `xt` is the forward input
+    /// `[in_ch][len][LANES]`, `gyt` the output gradient
+    /// `[out_ch][len][LANES]`. Accumulates into `gw`/`gb` exactly as
+    /// `active` successive [`Conv1d::backward`] calls would (lane `j`
+    /// = the `j`-th call), and fills `gxt` (`[in_ch][len][LANES]`)
+    /// when given; the first layer passes `None`, since nothing
+    /// consumes the gradient of the network's input.
+    ///
+    /// Bit parity with the one-sample kernel, element by element:
+    /// - each weight-gradient tap is 8 independent lane chains,
+    ///   zero-seeded and ascending in `t`, added to `gw` in ascending
+    ///   lane (= sample) order;
+    /// - each bias gradient adds the lane's `Σ_t gy` — the same
+    ///   `Iterator::sum` the scalar kernel uses — in lane order;
+    /// - each input-gradient element is zero-seeded and sums its taps
+    ///   in ascending `(o, dk)` order, one lane per sample.
+    ///
+    /// Lanes at and above `active` are never added to `gw`/`gb`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward_lanes(
+        &self,
+        xt: &[f32],
+        len: usize,
+        gyt: &[f32],
+        active: usize,
+        mut gxt: Option<&mut Vec<f32>>,
+        gw: &mut [f32],
+        gb: &mut [f32],
+    ) {
+        const L: usize = LANES;
+        debug_assert_eq!(xt.len(), self.in_ch * len * L);
+        debug_assert_eq!(gyt.len(), self.out_ch * len * L);
+        debug_assert!(active <= L);
+        let pad = self.k / 2;
+        if let Some(gx) = gxt.as_deref_mut() {
+            gx.clear();
+            gx.resize(self.in_ch * len * L, 0.0);
+        }
+        for o in 0..self.out_ch {
+            let gyo = &gyt[o * len * L..(o + 1) * len * L];
+            for j in 0..active {
+                gb[o] += gyo[j..].iter().step_by(L).sum::<f32>();
+            }
+            for i in 0..self.in_ch {
+                let xi = &xt[i * len * L..(i + 1) * len * L];
+                let wbase = (o * self.in_ch + i) * self.k;
+                for dk in 0..self.k {
+                    // Columns where tap `t + dk - pad` is in [0, len).
+                    let t0 = pad.saturating_sub(dk);
+                    let t1 = (len + pad).saturating_sub(dk).min(len);
+                    if t0 >= t1 {
+                        continue; // tap entirely out of bounds (len < k)
+                    }
+                    let (s0, s1) = (t0 + dk - pad, t1 + dk - pad);
+                    let gs = &gyo[t0 * L..t1 * L];
+                    if let Some(gx) = gxt.as_deref_mut() {
+                        let wv = self.w[wbase + dk];
+                        let gxi = &mut gx[i * len * L..(i + 1) * len * L];
+                        for (d, &g) in gxi[s0 * L..s1 * L].iter_mut().zip(gs) {
+                            *d += g * wv;
+                        }
+                    }
+                    let mut acc = [0.0f32; L];
+                    for (g, x) in gs.chunks_exact(L).zip(xi[s0 * L..s1 * L].chunks_exact(L)) {
+                        for j in 0..L {
+                            acc[j] += g[j] * x[j];
+                        }
+                    }
+                    for &a in &acc[..active] {
+                        gw[wbase + dk] += a;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Adds one input channel's contribution `Σ_dk w[dk]·xi[t+dk-pad]`
@@ -225,8 +302,9 @@ fn conv_accum_row(w: &[f32], xi: &[f32], yo: &mut [f32], pad: usize, lo: usize, 
     }
 }
 
-/// Sample lanes per batched-inference tile ([`Dense::forward_batch`],
-/// [`Conv1d::forward_lanes`], [`maxpool2_lanes`]): 8 floats is one
+/// Sample lanes per tile of the batched kernels
+/// ([`Dense::forward_batch`], [`Conv1d::forward_lanes`],
+/// [`maxpool2_lanes`] and their backward twins): 8 floats is one
 /// AVX register (or two SSE ones), and small enough that accumulator
 /// blocks stay in registers. Tiles are *lane-major*: element `e` of
 /// samples `0..8` sits at `[e * LANES .. e * LANES + 8]`, so every
@@ -312,6 +390,66 @@ impl Dense {
         }
     }
 
+    /// Lane-major backward over the first `active` lanes of a
+    /// [`LANES`]-sample tile: `xt` is the forward input
+    /// `[in_dim][LANES]`, `gyt` the output gradient
+    /// `[out_dim][LANES]`. Accumulates into `gw`/`gb` exactly as
+    /// `active` successive [`Dense::backward`] calls would (lane `j`
+    /// = the `j`-th call), skipping a sample's weight and input
+    /// gradient for an output whose gradient is exactly `0.0`, and
+    /// fills `gxt` (`[in_dim][LANES]`, zero in inactive lanes).
+    ///
+    /// The input gradient accumulates sample-major — a contiguous
+    /// saxpy per (output, sample) — and is transposed into lanes at
+    /// the end; a lane-major form would need a masked select per
+    /// element for the zero-gradient skip.
+    pub fn backward_lanes(
+        &self,
+        xt: &[f32],
+        gyt: &[f32],
+        active: usize,
+        gxt: &mut Vec<f32>,
+        gw: &mut [f32],
+        gb: &mut [f32],
+    ) {
+        const L: usize = LANES;
+        let n = self.in_dim;
+        debug_assert_eq!(xt.len(), n * L);
+        debug_assert_eq!(gyt.len(), self.out_dim * L);
+        debug_assert!(active <= L);
+        let mut xs = vec![0.0f32; active * n];
+        for (i, lanes) in xt.chunks_exact(L).enumerate() {
+            for (j, &v) in lanes[..active].iter().enumerate() {
+                xs[j * n + i] = v;
+            }
+        }
+        let mut gxs = vec![0.0f32; active * n];
+        for o in 0..self.out_dim {
+            let row = &self.w[o * n..(o + 1) * n];
+            let grow = &mut gw[o * n..(o + 1) * n];
+            for j in 0..active {
+                let g = gyt[o * L + j];
+                gb[o] += g;
+                if g == 0.0 {
+                    continue;
+                }
+                let x = &xs[j * n..(j + 1) * n];
+                let gx = &mut gxs[j * n..(j + 1) * n];
+                for i in 0..n {
+                    grow[i] += g * x[i];
+                    gx[i] += g * row[i];
+                }
+            }
+        }
+        gxt.clear();
+        gxt.resize(n * L, 0.0);
+        for (j, gx) in gxs.chunks_exact(n).enumerate() {
+            for (i, &v) in gx.iter().enumerate() {
+                gxt[i * L + j] = v;
+            }
+        }
+    }
+
     /// Backward pass; fills `gx`, accumulates `gw`/`gb`.
     pub fn backward(
         &self,
@@ -382,9 +520,10 @@ pub fn maxpool2(x: &[f32], channels: usize, len: usize) -> (Vec<f32>, Vec<u32>) 
 
 /// Lane-major max-pool over [`LANES`] samples at once: `xt` is
 /// `[channels][len][LANES]`, `yt` receives
-/// `[channels][len/2][LANES]`. Inference-only — no argmax indices are
-/// recorded. Each lane's select is `a >= b ? a : b`, the same
-/// comparison (including NaN polarity) as [`maxpool2`].
+/// `[channels][len/2][LANES]`. No argmax indices are recorded;
+/// [`maxpool2_backward_lanes`] recomputes them. Each lane's select
+/// is `a >= b ? a : b`, the same comparison (including NaN polarity)
+/// as [`maxpool2`].
 pub fn maxpool2_lanes(xt: &[f32], channels: usize, len: usize, yt: &mut Vec<f32>) {
     const L: usize = LANES;
     debug_assert_eq!(xt.len(), channels * len * L);
@@ -400,6 +539,47 @@ pub fn maxpool2_lanes(xt: &[f32], channels: usize, len: usize, yt: &mut Vec<f32>
             let dst = &mut yc[t * L..t * L + L];
             for j in 0..L {
                 dst[j] = if a[j] >= b[j] { a[j] } else { b[j] };
+            }
+        }
+    }
+}
+
+/// Lane-major backward max-pool: `xt` is the forward input
+/// `[channels][len][LANES]`, `gyt` the pooled gradient
+/// `[channels][len/2][LANES]`; `gxt` receives `[channels][len][LANES]`.
+///
+/// The argmax is recomputed from `xt` with [`maxpool2`]'s select
+/// (`a >= b` picks `a`), so no index tile is stored. The selected
+/// element gets `0.0 + g` — what [`maxpool2_backward`]'s
+/// zero-filled `+=` produces, which turns a `-0.0` gradient into
+/// `+0.0` — and every other element, including an odd last column,
+/// gets `0.0`.
+pub fn maxpool2_backward_lanes(
+    xt: &[f32],
+    gyt: &[f32],
+    channels: usize,
+    len: usize,
+    gxt: &mut Vec<f32>,
+) {
+    const L: usize = LANES;
+    debug_assert_eq!(xt.len(), channels * len * L);
+    let out_len = len / 2;
+    debug_assert_eq!(gyt.len(), channels * out_len * L);
+    gxt.clear();
+    gxt.resize(channels * len * L, 0.0);
+    for c in 0..channels {
+        let xc = &xt[c * len * L..(c + 1) * len * L];
+        let gc = &gyt[c * out_len * L..(c + 1) * out_len * L];
+        let dc = &mut gxt[c * len * L..(c + 1) * len * L];
+        for t in 0..out_len {
+            let (da, db) = dc[2 * t * L..(2 * t + 2) * L].split_at_mut(L);
+            for j in 0..L {
+                let g = 0.0 + gc[t * L + j];
+                if xc[2 * t * L + j] >= xc[(2 * t + 1) * L + j] {
+                    da[j] = g;
+                } else {
+                    db[j] = g;
+                }
             }
         }
     }
@@ -507,6 +687,50 @@ mod tests {
         }
     }
 
+    /// A value for the backward parity tests: ordinary, or with
+    /// `special` one of ±0.0, ±∞ or NaN a third of the time.
+    fn draw(rng: &mut StdRng, special: bool) -> f32 {
+        const SPECIAL: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        if special && rng.gen_range(0..3) == 0 {
+            SPECIAL[rng.gen_range(0..SPECIAL.len())]
+        } else {
+            rng.gen_range(-2.0f32..2.0)
+        }
+    }
+
+    /// `count` samples of `n` values each.
+    fn samples(rng: &mut StdRng, count: usize, n: usize, special: bool) -> Vec<Vec<f32>> {
+        (0..count)
+            .map(|_| (0..n).map(|_| draw(rng, special)).collect())
+            .collect()
+    }
+
+    /// Lane-major tile of up to [`LANES`] samples of `n` values; the
+    /// unused lanes hold NaN.
+    fn to_lanes(samples: &[Vec<f32>], n: usize) -> Vec<f32> {
+        let mut t = vec![f32::NAN; n * LANES];
+        for (j, s) in samples.iter().enumerate() {
+            for (e, &v) in s.iter().enumerate() {
+                t[e * LANES + j] = v;
+            }
+        }
+        t
+    }
+
+    /// Lane `j` of a lane-major tile.
+    fn lane(t: &[f32], j: usize) -> Vec<f32> {
+        t.iter().skip(j).step_by(LANES).copied().collect()
+    }
+
+    /// Bitwise equality, except that any two NaNs match: Rust leaves
+    /// the payload of a NaN result unspecified.
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
     fn conv_with_weights(in_ch: usize, out_ch: usize, k: usize, ws: &[f32], bs: &[f32]) -> Conv1d {
         let mut rng = StdRng::seed_from_u64(99);
         let mut c = Conv1d::new(in_ch, out_ch, k, &mut rng);
@@ -610,6 +834,129 @@ mod tests {
                 for o in 0..out_dim {
                     prop_assert_eq!(out[o * LANES + j].to_bits(), y[o].to_bits());
                 }
+            }
+        }
+
+        /// `Conv1d::backward_lanes` over `active` lanes accumulates
+        /// `gw`/`gb` bitwise as `active` successive `Conv1d::backward`
+        /// calls, and each active lane of `gx` equals that sample's
+        /// `gx`; the unused lanes hold NaN and never leak in.
+        #[test]
+        fn conv_backward_lanes_match_per_sample_backward(
+            seed in 0u64..1000,
+            len in 1usize..24,
+            in_ch in 1usize..4,
+            out_ch in 1usize..4,
+            active in 1usize..9,
+            variant in 0usize..6,
+        ) {
+            // Kernel widths 1, 3 and 5, each with and without specials.
+            let k = 2 * (variant % 3) + 1;
+            let special = variant >= 3;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ws: Vec<f32> = (0..out_ch * in_ch * k).map(|_| draw(&mut rng, special)).collect();
+            let bs = vec![0.0; out_ch];
+            let conv = conv_with_weights(in_ch, out_ch, k, &ws, &bs);
+            let xs = samples(&mut rng, active, in_ch * len, special);
+            let gys = samples(&mut rng, active, out_ch * len, special);
+            let (mut gw, mut gb) = (vec![0.1f32; conv.w.len()], vec![-0.0f32; out_ch]);
+            let (mut gw_l, mut gb_l) = (gw.clone(), gb.clone());
+            let mut gxs = Vec::new();
+            for (x, gy) in xs.iter().zip(&gys) {
+                let mut gx = Vec::new();
+                conv.backward(x, len, gy, &mut gx, &mut gw, &mut gb);
+                gxs.push(gx);
+            }
+            let (xt, gyt) = (to_lanes(&xs, in_ch * len), to_lanes(&gys, out_ch * len));
+            let mut gxt = Vec::new();
+            conv.backward_lanes(&xt, len, &gyt, active, Some(&mut gxt), &mut gw_l, &mut gb_l);
+            prop_assert!(same_bits(&gw_l, &gw), "gw {:?} vs {:?}", gw_l, gw);
+            prop_assert!(same_bits(&gb_l, &gb), "gb {:?} vs {:?}", gb_l, gb);
+            for (j, gx) in gxs.iter().enumerate() {
+                prop_assert!(same_bits(&lane(&gxt, j), gx), "gx lane {}", j);
+            }
+            // Without the input gradient: the same gw/gb.
+            let (mut gw_n, mut gb_n) = (vec![0.1f32; conv.w.len()], vec![-0.0f32; out_ch]);
+            conv.backward_lanes(&xt, len, &gyt, active, None, &mut gw_n, &mut gb_n);
+            prop_assert!(same_bits(&gw_n, &gw) && same_bits(&gb_n, &gb));
+        }
+
+        /// `Dense::backward_lanes` equals `active` successive
+        /// `Dense::backward` calls bitwise, including the skip of
+        /// exact-zero output gradients (a third of them here).
+        #[test]
+        fn dense_backward_lanes_match_per_sample_backward(
+            seed in 0u64..1000,
+            in_dim in 1usize..24,
+            out_dim in 1usize..12,
+            active in 1usize..9,
+            special in 0usize..2,
+        ) {
+            let special = special == 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dense = Dense::new(in_dim, out_dim, &mut rng);
+            let xs = samples(&mut rng, active, in_dim, special);
+            let gys: Vec<Vec<f32>> = samples(&mut rng, active, out_dim, special)
+                .into_iter()
+                .map(|g| {
+                    g.into_iter()
+                        .map(|v| if rng.gen_range(0..3) == 0 { 0.0 } else { v })
+                        .collect()
+                })
+                .collect();
+            let (mut gw, mut gb) = (vec![0.1f32; dense.w.len()], vec![-0.0f32; out_dim]);
+            let (mut gw_l, mut gb_l) = (gw.clone(), gb.clone());
+            let mut gxs = Vec::new();
+            for (x, gy) in xs.iter().zip(&gys) {
+                let mut gx = Vec::new();
+                dense.backward(x, gy, &mut gx, &mut gw, &mut gb);
+                gxs.push(gx);
+            }
+            let mut gxt = Vec::new();
+            dense.backward_lanes(
+                &to_lanes(&xs, in_dim),
+                &to_lanes(&gys, out_dim),
+                active,
+                &mut gxt,
+                &mut gw_l,
+                &mut gb_l,
+            );
+            prop_assert!(same_bits(&gw_l, &gw), "gw {:?} vs {:?}", gw_l, gw);
+            prop_assert!(same_bits(&gb_l, &gb), "gb {:?} vs {:?}", gb_l, gb);
+            for (j, gx) in gxs.iter().enumerate() {
+                prop_assert!(same_bits(&lane(&gxt, j), gx), "gx lane {}", j);
+            }
+        }
+
+        /// `maxpool2_backward_lanes` equals `maxpool2` +
+        /// `maxpool2_backward` in every lane, on inputs with ties,
+        /// signed zeros and NaN, and on odd lengths whose last column
+        /// the pool drops.
+        #[test]
+        fn maxpool_backward_lanes_match_per_sample_backward(
+            seed in 0u64..1000,
+            channels in 1usize..4,
+            len in 1usize..12,
+        ) {
+            const VALUES: [f32; 6] = [-1.0, 0.0, -0.0, 1.0, 2.0, f32::NAN];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let out_len = len / 2;
+            let xs: Vec<Vec<f32>> = (0..LANES)
+                .map(|_| (0..channels * len).map(|_| VALUES[rng.gen_range(0..VALUES.len())]).collect())
+                .collect();
+            let gys = samples(&mut rng, LANES, channels * out_len, true);
+            let mut gxt = Vec::new();
+            maxpool2_backward_lanes(
+                &to_lanes(&xs, channels * len),
+                &to_lanes(&gys, channels * out_len),
+                channels,
+                len,
+                &mut gxt,
+            );
+            for (j, (x, gy)) in xs.iter().zip(&gys).enumerate() {
+                let (_, arg) = maxpool2(x, channels, len);
+                let gx = maxpool2_backward(gy, &arg, channels * len);
+                prop_assert!(same_bits(&lane(&gxt, j), &gx), "lane {}", j);
             }
         }
     }

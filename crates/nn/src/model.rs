@@ -8,8 +8,8 @@
 
 use crate::conv1_cache::Conv1Index;
 use crate::layers::{
-    cross_entropy_backward, maxpool2, maxpool2_backward, maxpool2_lanes, relu, relu_backward,
-    softmax, Conv1d, Dense, LANES,
+    cross_entropy_backward, maxpool2, maxpool2_backward, maxpool2_backward_lanes, maxpool2_lanes,
+    relu, relu_backward, softmax, Conv1d, Dense, LANES,
 };
 use crate::optim::{Adam, GradBuffers};
 use crate::param::ParamBuf;
@@ -166,14 +166,16 @@ pub struct Workspace {
     gx: Vec<f32>,
 }
 
-/// Per-thread scratch for the tiled [`TextCnn::predict_batch`] path:
-/// a per-sample [`Workspace`] for partial tail tiles, plus the
-/// lane-major activation tiles for full [`LANES`]-sample tiles.
+/// Lane-major activations and gradients of one [`LANES`]-sample tile
+/// (samples are the innermost contiguous dimension), shared by the
+/// tiled inference and training paths. Every forward activation is
+/// the post-ReLU value, which is all the backward pass needs.
 #[derive(Debug, Default)]
-struct BatchWorkspace {
-    ws: Workspace,
-    /// First conv activations `[conv1][seq_len][LANES]`, gathered
-    /// from the slot cache.
+struct TileWorkspace {
+    /// Input tile `[embed_dim][seq_len][LANES]` (training only;
+    /// inference gathers `c1t` from the conv1 slot cache).
+    xt: Vec<f32>,
+    /// First conv activations `[conv1][seq_len][LANES]`.
     c1t: Vec<f32>,
     /// First pooled activations `[conv1][seq_len/2][LANES]`.
     p1t: Vec<f32>,
@@ -187,6 +189,13 @@ struct BatchWorkspace {
     h: Vec<f32>,
     /// Logits `[classes][LANES]`.
     logits: Vec<f32>,
+    /// Gradients of the tensors above, same layouts.
+    glogits: Vec<f32>,
+    gh: Vec<f32>,
+    gp2: Vec<f32>,
+    gc2: Vec<f32>,
+    gp1: Vec<f32>,
+    gc1: Vec<f32>,
 }
 
 impl TextCnn {
@@ -347,18 +356,12 @@ impl TextCnn {
         quantize_dequant_rows(self.fc2.w.to_mut(), self.fc2.in_dim, mode);
     }
 
-    /// Runs the conv → pool half of the network, leaving the pooled
-    /// feature vector in `ws.p2` (and the intermediate activations /
-    /// argmaxes the backward pass needs in the workspace).
-    fn conv_features(&self, x: &[f32], ws: &mut Workspace) {
-        self.conv1.forward(x, self.cfg.seq_len, &mut ws.c1);
-        relu(&mut ws.c1);
-        self.pool_features(ws);
-    }
-
-    /// The conv half after the first ReLU: `ws.c1` → `ws.p2`.
-    fn pool_features(&self, ws: &mut Workspace) {
+    /// Forward pass into `ws`, keeping the activations and argmaxes
+    /// [`TextCnn::backward`] needs; returns the logits slice.
+    pub fn forward<'w>(&self, x: &[f32], ws: &'w mut Workspace) -> &'w [f32] {
         let len = self.cfg.seq_len;
+        self.conv1.forward(x, len, &mut ws.c1);
+        relu(&mut ws.c1);
         let (p1, a1) = maxpool2(&ws.c1, self.cfg.conv1, len);
         ws.p1 = p1;
         ws.a1 = a1;
@@ -368,19 +371,9 @@ impl TextCnn {
         let (p2, a2) = maxpool2(&ws.c2, self.cfg.conv2, len2);
         ws.p2 = p2;
         ws.a2 = a2;
-    }
-
-    /// The dense half: `ws.p2` → `ws.logits`.
-    fn dense_head(&self, ws: &mut Workspace) {
         self.fc1.forward(&ws.p2, &mut ws.h);
         relu(&mut ws.h);
         self.fc2.forward(&ws.h, &mut ws.logits);
-    }
-
-    /// Forward pass into `ws`; returns the logits slice.
-    pub fn forward<'w>(&self, x: &[f32], ws: &'w mut Workspace) -> &'w [f32] {
-        self.conv_features(x, ws);
-        self.dense_head(ws);
         &ws.logits
     }
 
@@ -425,7 +418,8 @@ impl TextCnn {
     /// [`Conv1d::forward_lanes`], [`relu`] and
     /// [`Dense::forward_batch`] stream their weights through once per
     /// tile while operating on 8 contiguous sample lanes at a time.
-    /// A partial tail tile runs the per-sample layers. Per-sample
+    /// A partial tail tile leaves its unused lanes zero; lanes never
+    /// mix, so they cannot affect the rows in use. Per-sample
     /// accumulation chains are unchanged throughout (pinned by test
     /// and by the golden-prediction fixtures).
     ///
@@ -436,7 +430,6 @@ impl TextCnn {
         const L: usize = LANES;
         let classes = self.cfg.classes;
         let len = self.cfg.seq_len;
-        let len2 = len / 2;
         let oc = self.conv1.out_ch;
         assert!(
             index.fits(&self.conv1, len),
@@ -444,50 +437,25 @@ impl TextCnn {
         );
         let mut cache = Vec::new();
         index.fill(&self.conv1, &mut cache);
-        // Copies one row's conv1 activations out of the slot cache
-        // into `dst`, laid out `[conv1][seq_len][stride]` at `lane`.
-        let gather = |row: usize, dst: &mut [f32], stride: usize, lane: usize| {
-            for (t, &slot) in index.row_slots(row).iter().enumerate() {
-                for (o, &v) in cache[slot as usize * oc..][..oc].iter().enumerate() {
-                    dst[(o * len + t) * stride + lane] = v;
-                }
-            }
-        };
         Tensor::build_row_blocks(
             index.rows(),
             classes,
             L,
-            BatchWorkspace::default,
-            |bw, first, chunk| {
-                let n = chunk.len() / classes;
-                if n < L {
-                    // Partial tail tile: per-sample layers after conv1.
-                    for (j, out) in chunk.chunks_mut(classes).enumerate() {
-                        bw.ws.c1.clear();
-                        bw.ws.c1.resize(oc * len, 0.0);
-                        gather(first + j, &mut bw.ws.c1, 1, 0);
-                        self.pool_features(&mut bw.ws);
-                        self.dense_head(&mut bw.ws);
-                        out.copy_from_slice(&bw.ws.logits);
-                        softmax(out);
+            TileWorkspace::default,
+            |tw, first, chunk| {
+                tw.c1t.clear();
+                tw.c1t.resize(oc * len * L, 0.0);
+                for j in 0..chunk.len() / classes {
+                    for (t, &slot) in index.row_slots(first + j).iter().enumerate() {
+                        for (o, &v) in cache[slot as usize * oc..][..oc].iter().enumerate() {
+                            tw.c1t[(o * len + t) * L + j] = v;
+                        }
                     }
-                    return;
                 }
-                bw.c1t.clear();
-                bw.c1t.resize(oc * len * L, 0.0);
-                for j in 0..L {
-                    gather(first + j, &mut bw.c1t, L, j);
-                }
-                maxpool2_lanes(&bw.c1t, self.cfg.conv1, len, &mut bw.p1t);
-                self.conv2.forward_lanes(&bw.p1t, len2, &mut bw.c2t);
-                relu(&mut bw.c2t);
-                maxpool2_lanes(&bw.c2t, self.cfg.conv2, len2, &mut bw.p2t);
-                self.fc1.forward_batch(&bw.p2t, &mut bw.h);
-                relu(&mut bw.h);
-                self.fc2.forward_batch(&bw.h, &mut bw.logits);
+                self.tile_tail(tw);
                 for (j, out) in chunk.chunks_mut(classes).enumerate() {
                     for (c, dst) in out.iter_mut().enumerate() {
-                        *dst = bw.logits[c * L + j];
+                        *dst = tw.logits[c * L + j];
                     }
                     softmax(out);
                 }
@@ -495,8 +463,108 @@ impl TextCnn {
         )
     }
 
+    /// The tile chain after the first conv + ReLU: `tw.c1t` →
+    /// `tw.logits`, keeping every intermediate activation.
+    fn tile_tail(&self, tw: &mut TileWorkspace) {
+        let len = self.cfg.seq_len;
+        let len2 = len / 2;
+        maxpool2_lanes(&tw.c1t, self.cfg.conv1, len, &mut tw.p1t);
+        self.conv2.forward_lanes(&tw.p1t, len2, &mut tw.c2t);
+        relu(&mut tw.c2t);
+        maxpool2_lanes(&tw.c2t, self.cfg.conv2, len2, &mut tw.p2t);
+        self.fc1.forward_batch(&tw.p2t, &mut tw.h);
+        relu(&mut tw.h);
+        self.fc2.forward_batch(&tw.h, &mut tw.logits);
+    }
+
+    /// Transposes the samples `idxs` (at most [`LANES`]) of `data` into
+    /// the input tile `tw.xt` and runs the whole network on it;
+    /// returns the labels, lane by lane. Unused lanes are zero.
+    fn tile_forward<S: SampleSource + ?Sized>(
+        &self,
+        data: &S,
+        idxs: &[usize],
+        tw: &mut TileWorkspace,
+    ) -> [usize; LANES] {
+        const L: usize = LANES;
+        debug_assert!(idxs.len() <= L);
+        let n = self.cfg.embed_dim * self.cfg.seq_len;
+        let mut labels = [0; L];
+        let mut scratch = Vec::new();
+        tw.xt.clear();
+        tw.xt.resize(n * L, 0.0);
+        for (j, &i) in idxs.iter().enumerate() {
+            let (x, label) = data.sample(i, &mut scratch);
+            assert_eq!(x.len(), n, "sample {i} has the wrong input size");
+            labels[j] = label;
+            for (e, &v) in x.iter().enumerate() {
+                tw.xt[e * L + j] = v;
+            }
+        }
+        self.conv1
+            .forward_lanes(&tw.xt, self.cfg.seq_len, &mut tw.c1t);
+        relu(&mut tw.c1t);
+        self.tile_tail(tw);
+        labels
+    }
+
+    /// Forward + backward of one shard (at most [`LANES`] samples) as
+    /// a single tile; returns the shard's gradient sums and loss.
+    ///
+    /// Bitwise equal to calling [`TextCnn::backward`] on each sample
+    /// in order into one zeroed [`GradBuffers`]: the forward lanes
+    /// are the one-sample chains, each lane's softmax and loss are the
+    /// one-sample ones, and every `*_lanes` backward kernel adds each
+    /// sample's contribution to a gradient element in ascending lane
+    /// order. The network input's gradient is never computed.
+    fn shard_gradients<S: SampleSource + ?Sized>(
+        &self,
+        data: &S,
+        shard: &[usize],
+    ) -> (GradBuffers, f64) {
+        const L: usize = LANES;
+        let len = self.cfg.seq_len;
+        let len2 = len / 2;
+        let classes = self.cfg.classes;
+        let n = shard.len();
+        let mut tw = TileWorkspace::default();
+        let labels = self.tile_forward(data, shard, &mut tw);
+        let mut loss = 0.0f64;
+        let mut probs = Vec::with_capacity(classes);
+        tw.glogits.clear();
+        tw.glogits.resize(classes * L, 0.0);
+        for (j, &label) in labels[..n].iter().enumerate() {
+            probs.clear();
+            probs.extend((0..classes).map(|c| tw.logits[c * L + j]));
+            softmax(&mut probs);
+            loss += f64::from(cross_entropy_backward(&mut probs, label));
+            for (c, &p) in probs.iter().enumerate() {
+                tw.glogits[c * L + j] = p;
+            }
+        }
+
+        let mut grads = self.grad_buffers();
+        let [gc1w, gc1b, gc2w, gc2b, gf1w, gf1b, gf2w, gf2b] = grads.as_mut_arrays();
+        self.fc2
+            .backward_lanes(&tw.h, &tw.glogits, n, &mut tw.gh, gf2w, gf2b);
+        relu_backward(&tw.h, &mut tw.gh);
+        self.fc1
+            .backward_lanes(&tw.p2t, &tw.gh, n, &mut tw.gp2, gf1w, gf1b);
+        maxpool2_backward_lanes(&tw.c2t, &tw.gp2, self.cfg.conv2, len2, &mut tw.gc2);
+        relu_backward(&tw.c2t, &mut tw.gc2);
+        self.conv2
+            .backward_lanes(&tw.p1t, len2, &tw.gc2, n, Some(&mut tw.gp1), gc2w, gc2b);
+        maxpool2_backward_lanes(&tw.c1t, &tw.gp1, self.cfg.conv1, len, &mut tw.gc1);
+        relu_backward(&tw.c1t, &mut tw.gc1);
+        self.conv1
+            .backward_lanes(&tw.xt, len, &tw.gc1, n, None, gc1w, gc1b);
+        (grads, loss)
+    }
+
     /// Forward + backward for one `(x, label)`; accumulates gradients
-    /// into `grads` and returns the sample loss.
+    /// into `grads` and returns the sample loss. The per-sample
+    /// reference for the tiled training step
+    /// ([`TextCnn::batch_gradients`]), kept as its test oracle.
     pub fn backward(
         &self,
         x: &[f32],
@@ -540,34 +608,26 @@ impl TextCnn {
     /// Accumulated gradients and summed loss of one minibatch (the
     /// samples `idxs` indexes into `data`).
     ///
-    /// The minibatch is split into fixed shards — a function of the
-    /// batch alone, never of the thread count. Each worker owns one
-    /// [`Workspace`] and one [`GradBuffers`] per shard, accumulates
-    /// the shard's samples sequentially, and the shard buffers are
-    /// reduced strictly in shard order. Gradient sums are therefore
-    /// bit-identical for any thread count.
+    /// The minibatch is split into fixed shards of [`LANES`] samples —
+    /// a function of the batch alone, never of the thread count. Each
+    /// shard runs as one lane tile (a short last shard leaves lanes
+    /// unused) into its own [`GradBuffers`], shards spread across the
+    /// worker threads, and the shard buffers are reduced strictly in
+    /// shard order. Gradient sums are therefore bit-identical for any
+    /// thread count, and to per-sample [`TextCnn::backward`] calls
+    /// accumulated shard by shard.
     pub fn batch_gradients<S: SampleSource + ?Sized>(
         &self,
         data: &S,
         idxs: &[usize],
     ) -> (GradBuffers, f64) {
-        /// Samples per worker shard: small enough to balance load,
-        /// large enough to amortize the per-shard buffer allocation.
-        const SHARD: usize = 8;
-        let shards: Vec<&[usize]> = idxs.chunks(SHARD).collect();
+        let shards: Vec<&[usize]> = idxs.chunks(LANES).collect();
+        // One shard per parallel job: the shim would otherwise run a
+        // whole minibatch (at most 16 shards) as one job.
         let partials: Vec<(GradBuffers, f64)> = shards
             .par_iter()
-            .map(|shard| {
-                let mut ws = Workspace::default();
-                let mut scratch = Vec::new();
-                let mut g = self.grad_buffers();
-                let mut loss = 0.0f64;
-                for &i in *shard {
-                    let (x, label) = data.sample(i, &mut scratch);
-                    loss += f64::from(self.backward(x, label, &mut ws, &mut g));
-                }
-                (g, loss)
-            })
+            .with_max_len(1)
+            .map(|shard| self.shard_gradients(data, shard))
             .collect();
         let mut partials = partials.into_iter();
         let (mut grads, mut loss) = partials
@@ -581,7 +641,7 @@ impl TextCnn {
     }
 
     /// One epoch of mini-batch training over `data`, shuffled with
-    /// `rng`; per-sample backward passes run data-parallel via
+    /// `rng`; each minibatch's lane-tiled shards run in parallel via
     /// [`TextCnn::batch_gradients`]. Returns the mean loss.
     pub fn train_epoch<S: SampleSource + ?Sized>(
         &mut self,
