@@ -82,8 +82,11 @@ impl Dataset {
         cache: Option<&crate::artifact_cache::ArtifactCache>,
         obs: &dyn Observer,
     ) -> Dataset {
+        // One shard per binary: the shim would otherwise run up to 16
+        // binaries as one job on one thread.
         let entries = built
             .par_iter()
+            .with_max_len(1)
             .map(|b| {
                 let ex = match cache {
                     Some(cache) => cache.extraction_mode(&b.binary, view, mode, obs),
@@ -141,6 +144,7 @@ pub fn embedding_sentences(
 ) -> Vec<Vec<String>> {
     let mut sentences: Vec<Vec<String>> = built
         .par_iter()
+        .with_max_len(1)
         .flat_map_iter(|b| {
             let insns = b.binary.disassemble().expect("corpus binary must decode");
             let funcs = cati_analysis::split_functions(&insns, &b.binary);

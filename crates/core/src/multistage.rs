@@ -7,7 +7,7 @@ use crate::shards::{ShardError, ShardSamples, ShardSet};
 use cati_dwarf::{StageId, TypeClass};
 use cati_embedding::VucEmbedder;
 use cati_nn::{argmax, Adam, Rows, Tensor, TextCnn, TextCnnConfig, TrainHook};
-use cati_obs::{Event, Level, Observer};
+use cati_obs::{Event, Level, Observer, SpanGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -116,7 +116,8 @@ pub struct MultiStage {
 
 impl MultiStage {
     /// Trains all six stages on `dataset` using `embedder` features.
-    /// `obs` receives one `train.<stage>` span and per-epoch
+    /// `obs` receives one `train.stages` span around the whole stage
+    /// phase, one `train.<stage>` span and per-epoch
     /// [`Event::EpochLoss`] events per stage as workers emit them,
     /// plus one summary [`Event::Message`] per stage (in stage order,
     /// after training finishes).
@@ -135,6 +136,7 @@ impl MultiStage {
         config: &Config,
         obs: &dyn Observer,
     ) -> MultiStage {
+        let stages_span = SpanGuard::enter(obs, "train.stages");
         let trained: Vec<(StageId, TextCnn, String)> = StageId::ALL
             .par_iter()
             .with_max_len(1)
@@ -195,6 +197,7 @@ impl MultiStage {
                 (stage, model, line)
             })
             .collect();
+        drop(stages_span);
         let mut models = Vec::with_capacity(trained.len());
         for (stage, model, line) in trained {
             obs.event(&Event::Message {
@@ -207,8 +210,9 @@ impl MultiStage {
     }
 
     /// [`MultiStage::train`] out-of-core: the same six concurrent
-    /// stage workers, but samples live in an on-disk [`ShardSet`] and
-    /// every epoch ends with an atomic per-stage checkpoint in `ckpt`.
+    /// stage workers and telemetry spans, but samples live in an
+    /// on-disk [`ShardSet`] and every epoch ends with an atomic
+    /// per-stage checkpoint in `ckpt`.
     ///
     /// Bit-for-bit parity with the in-memory path holds by
     /// construction: each stage derives the identical RNG, filters the
@@ -245,6 +249,7 @@ impl MultiStage {
             .stop_after_epoch
             .unwrap_or(config.epochs)
             .min(config.epochs);
+        let stages_span = SpanGuard::enter(obs, "train.stages");
         let trained: Vec<Result<(StageId, TextCnn, String), StreamError>> = StageId::ALL
             .par_iter()
             .with_max_len(1)
@@ -332,6 +337,7 @@ impl MultiStage {
                 Ok((stage, model, line))
             })
             .collect();
+        drop(stages_span);
         let mut models = Vec::with_capacity(trained.len());
         for result in trained {
             let (stage, model, line) = result?;

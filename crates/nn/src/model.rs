@@ -615,7 +615,11 @@ impl TextCnn {
     /// worker threads, and the shard buffers are reduced strictly in
     /// shard order. Gradient sums are therefore bit-identical for any
     /// thread count, and to per-sample [`TextCnn::backward`] calls
-    /// accumulated shard by shard.
+    /// accumulated shard by shard. Called inside a stage worker of
+    /// `cati train`, the shards spread only over workers that are
+    /// spare at the time (ones that finished their own stages, or
+    /// threads beyond the six stage jobs); otherwise they run on the
+    /// stage's own worker.
     pub fn batch_gradients<S: SampleSource + ?Sized>(
         &self,
         data: &S,

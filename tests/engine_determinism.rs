@@ -8,6 +8,7 @@ use cati::obs::{Recorder, RecorderConfig};
 use cati::{ArtifactCache, Cati, Config, EmbeddedExtraction};
 use cati_analysis::{extract, FeatureView};
 use cati_synbin::{build_corpus, Corpus, CorpusConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Trains under a live [`Recorder`] (not the no-op observer), so this
 /// harness also proves instrumentation never perturbs the engine.
@@ -22,6 +23,33 @@ fn train_with_threads(corpus: &Corpus, threads: usize) -> (Cati, Recorder) {
     });
     let cati = Cati::train(&corpus.train, &config, &recorder);
     (cati, recorder)
+}
+
+/// Out-of-core training in a fresh checkpoint directory (unique per
+/// call, so tests running in parallel never share one).
+fn train_streamed_with_threads(corpus: &Corpus, threads: usize) -> Cati {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let config = Config {
+        threads,
+        ..Config::small()
+    };
+    let dir = std::env::temp_dir().join(format!(
+        "cati_det_stream_t{threads}_{}_{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let cati = Cati::train_streamed(
+        &corpus.train,
+        &config,
+        &dir,
+        cati::StreamOptions::default(),
+        &cati::obs::NOOP,
+    )
+    .expect("streamed training failed")
+    .expect("full streamed run must produce a system");
+    std::fs::remove_dir_all(&dir).ok();
+    cati
 }
 
 #[test]
@@ -87,28 +115,8 @@ fn thread_count_does_not_change_the_streamed_model() {
     // on-disk shards with one worker or four must be bit-identical —
     // the shard-order reduction, not scheduling, decides the sums.
     let corpus = build_corpus(&CorpusConfig::small(13));
-    let streamed = |threads: usize| {
-        let config = Config {
-            threads,
-            ..Config::small()
-        };
-        let dir =
-            std::env::temp_dir().join(format!("cati_det_stream_t{threads}_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cati = Cati::train_streamed(
-            &corpus.train,
-            &config,
-            &dir,
-            cati::StreamOptions::default(),
-            &cati::obs::NOOP,
-        )
-        .expect("streamed training failed")
-        .expect("full streamed run must produce a system");
-        std::fs::remove_dir_all(&dir).ok();
-        cati
-    };
-    let one = streamed(1);
-    let four = streamed(4);
+    let one = train_streamed_with_threads(&corpus, 1);
+    let four = train_streamed_with_threads(&corpus, 4);
     // Whole-system equality would also compare the config, whose
     // `threads` knob intentionally differs; everything training
     // *produced* must match bit for bit.
@@ -127,6 +135,44 @@ fn thread_count_does_not_change_the_streamed_model() {
         one.infer(&stripped).unwrap(),
         four.infer(&stripped).unwrap(),
         "streamed-model inference diverged across thread counts"
+    );
+}
+
+#[test]
+fn odd_thread_count_lends_idle_workers_without_changing_the_model() {
+    // Three threads over six stage jobs: the worker whose stages
+    // finish first lends itself to the minibatch shards of stages
+    // still running, both in memory and streamed. Neither may move a
+    // bit of the trained system; streamed training is pinned to the
+    // in-memory bytes, so both compare against one threads=1 run.
+    let corpus = build_corpus(&CorpusConfig::small(13));
+    let (one, _) = train_with_threads(&corpus, 1);
+    let (three, obs_three) = train_with_threads(&corpus, 3);
+    assert_eq!(
+        serde_json::to_string(&one.stages).unwrap(),
+        serde_json::to_string(&three.stages).unwrap(),
+        "stage models diverged at threads=3"
+    );
+    assert_eq!(
+        serde_json::to_string(&one.embedder).unwrap(),
+        serde_json::to_string(&three.embedder).unwrap(),
+        "embedders diverged at threads=3"
+    );
+    let spans = obs_three.span_totals();
+    assert!(
+        spans.iter().any(|(p, _)| p == "train.stages"),
+        "missing the stage-phase span: {spans:?}"
+    );
+    let streamed_three = train_streamed_with_threads(&corpus, 3);
+    assert_eq!(
+        serde_json::to_string(&one.stages).unwrap(),
+        serde_json::to_string(&streamed_three.stages).unwrap(),
+        "streamed stage models at threads=3 diverged from threads=1"
+    );
+    assert_eq!(
+        serde_json::to_string(&one.embedder).unwrap(),
+        serde_json::to_string(&streamed_three.embedder).unwrap(),
+        "streamed embedders at threads=3 diverged from threads=1"
     );
 }
 
