@@ -5,7 +5,7 @@
 //! of Function" shows those padded slots discard the strongest type
 //! evidence there is: argument and return flows across `call`/`ret`
 //! sites. This module factors the window-cutting decision out of
-//! [`crate::extract`] into a [`ContextAssembler`] with two modes:
+//! [`mod@crate::extract`] into a [`ContextAssembler`] with two modes:
 //!
 //! - [`ContextMode::FunctionLocal`] — the paper baseline. The plan it
 //!   produces is position-for-position identical to the historical

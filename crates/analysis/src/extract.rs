@@ -209,7 +209,7 @@ fn frame_offset_of(located: &Located, base: Gpr) -> Option<(i32, MemAccess)> {
 /// Fails if the text section does not decode or the debug section is
 /// corrupt.
 pub fn extract(binary: &Binary, view: FeatureView) -> Result<Extraction, ExtractError> {
-    extract_observed(binary, view, &cati_obs::NOOP)
+    extract_mode(binary, view, ContextMode::FunctionLocal)
 }
 
 /// [`extract`] with an explicit [`ContextMode`]. `FunctionLocal` is
@@ -239,22 +239,10 @@ pub struct WindowStats {
     pub spliced: u64,
 }
 
-/// [`extract`] with telemetry: emits counters for functions scanned,
-/// variables recovered (labeled and total), and VUCs cut. The returned
-/// extraction is identical to the unobserved path for any observer.
-///
-/// # Errors
-///
-/// Same failure modes as [`extract`].
-pub fn extract_observed(
-    binary: &Binary,
-    view: FeatureView,
-    obs: &dyn Observer,
-) -> Result<Extraction, ExtractError> {
-    extract_mode_observed(binary, view, ContextMode::FunctionLocal, obs)
-}
-
-/// [`extract_mode`] with telemetry; see [`extract_observed`].
+/// [`extract_mode`] with telemetry: emits counters for functions
+/// scanned, variables recovered (labeled and total), VUCs cut and
+/// window slots padded or spliced. The returned extraction is
+/// identical to the unobserved path for any observer.
 ///
 /// # Errors
 ///
@@ -276,25 +264,7 @@ pub fn extract_mode_observed(
         .map(|&(start, end)| Some(&insns[start..end]))
         .collect();
     let (kept, vucs, windows) = extract_core(binary, &bodies, debug.as_ref(), view, mode);
-
-    obs.event(&Event::Counter {
-        name: "extract.functions",
-        delta: functions.len() as u64,
-    });
-    obs.event(&Event::Counter {
-        name: "extract.vars",
-        delta: kept.len() as u64,
-    });
-    obs.event(&Event::Counter {
-        name: "extract.vars_labeled",
-        delta: kept.iter().filter(|v| v.class.is_some()).count() as u64,
-    });
-    obs.event(&Event::Counter {
-        name: "extract.vucs",
-        delta: vucs.len() as u64,
-    });
-    emit_window_counters(obs, windows);
-
+    emit_extract_counters(obs, functions.len(), &kept, vucs.len(), windows);
     Ok(Extraction {
         binary_name: binary.name.clone(),
         vars: kept,
@@ -302,15 +272,28 @@ pub fn extract_mode_observed(
     })
 }
 
-fn emit_window_counters(obs: &dyn Observer, windows: WindowStats) {
-    obs.event(&Event::Counter {
-        name: "extract.windows_padded",
-        delta: windows.padded,
-    });
-    obs.event(&Event::Counter {
-        name: "extract.windows_spliced",
-        delta: windows.spliced,
-    });
+/// The `extract.*` counters shared by the strict and lenient paths.
+fn emit_extract_counters(
+    obs: &dyn Observer,
+    functions: usize,
+    vars: &[Variable],
+    vucs: usize,
+    windows: WindowStats,
+) {
+    let counters = [
+        ("extract.functions", functions as u64),
+        ("extract.vars", vars.len() as u64),
+        (
+            "extract.vars_labeled",
+            vars.iter().filter(|v| v.class.is_some()).count() as u64,
+        ),
+        ("extract.vucs", vucs as u64),
+        ("extract.windows_padded", windows.padded),
+        ("extract.windows_spliced", windows.spliced),
+    ];
+    for (name, delta) in counters {
+        obs.event(&Event::Counter { name, delta });
+    }
 }
 
 /// The shared extraction loop: variable resolution and VUC cutting
@@ -507,22 +490,6 @@ pub fn symbol_byte_ranges(binary: &Binary) -> Vec<(usize, usize)> {
 
 /// Fault-isolated extraction: never fails, reports what it skipped.
 ///
-/// See [`extract_lenient_observed`].
-pub fn extract_lenient(binary: &Binary, view: FeatureView) -> LenientExtraction {
-    extract_lenient_observed(binary, view, &cati_obs::NOOP)
-}
-
-/// [`extract_lenient`] with an explicit [`ContextMode`].
-pub fn extract_lenient_mode(
-    binary: &Binary,
-    view: FeatureView,
-    mode: ContextMode,
-) -> LenientExtraction {
-    extract_lenient_mode_observed(binary, view, mode, &cati_obs::NOOP)
-}
-
-/// Fault-isolated extraction with telemetry.
-///
 /// The strict path ([`extract`]) refuses the whole binary on the first
 /// bad byte. This path degrades instead:
 ///
@@ -537,22 +504,13 @@ pub fn extract_lenient_mode(
 /// - without symbols, a resynchronizing sweep keeps every decodable
 ///   region and records the gaps.
 ///
-/// Emits `robust.skipped_fns`, `robust.bytes_skipped` and
-/// `robust.diagnostics` counters on top of the usual `extract.*` set.
-pub fn extract_lenient_observed(
-    binary: &Binary,
-    view: FeatureView,
-    obs: &dyn Observer,
-) -> LenientExtraction {
-    extract_lenient_mode_observed(binary, view, ContextMode::FunctionLocal, obs)
-}
-
-/// [`extract_lenient_observed`] with an explicit [`ContextMode`].
-///
 /// Fault isolation composes with splicing: a function whose body was
 /// skipped contributes no call-graph edges, so any splice that would
 /// have drawn from it degrades back to BLANK padding instead of
 /// poisoning the surviving windows.
+///
+/// Emits `robust.skipped_fns`, `robust.bytes_skipped` and
+/// `robust.diagnostics` counters on top of the usual `extract.*` set.
 pub fn extract_lenient_mode_observed(
     binary: &Binary,
     view: FeatureView,
@@ -661,36 +619,14 @@ pub fn extract_lenient_mode_observed(
     let (vars, vucs, windows) = extract_core(binary, &bodies, debug.as_ref(), view, mode);
     coverage.vars = vars.len() as u64;
     coverage.vucs = vucs.len() as u64;
-
-    obs.event(&Event::Counter {
-        name: "extract.functions",
-        delta: bodies.len() as u64,
-    });
-    obs.event(&Event::Counter {
-        name: "extract.vars",
-        delta: vars.len() as u64,
-    });
-    obs.event(&Event::Counter {
-        name: "extract.vars_labeled",
-        delta: vars.iter().filter(|v| v.class.is_some()).count() as u64,
-    });
-    obs.event(&Event::Counter {
-        name: "extract.vucs",
-        delta: vucs.len() as u64,
-    });
-    emit_window_counters(obs, windows);
-    obs.event(&Event::Counter {
-        name: "robust.skipped_fns",
-        delta: coverage.functions_skipped,
-    });
-    obs.event(&Event::Counter {
-        name: "robust.bytes_skipped",
-        delta: coverage.bytes_skipped,
-    });
-    obs.event(&Event::Counter {
-        name: "robust.diagnostics",
-        delta: diagnostics.total(),
-    });
+    emit_extract_counters(obs, bodies.len(), &vars, vucs.len(), windows);
+    for (name, delta) in [
+        ("robust.skipped_fns", coverage.functions_skipped),
+        ("robust.bytes_skipped", coverage.bytes_skipped),
+        ("robust.diagnostics", diagnostics.total()),
+    ] {
+        obs.event(&Event::Counter { name, delta });
+    }
 
     LenientExtraction {
         extraction: Extraction {
@@ -718,6 +654,10 @@ mod tests {
             opt,
         };
         build_app(&profile, opts, 0.5, &mut rng).remove(0).binary
+    }
+
+    fn extract_lenient(bin: &Binary, view: FeatureView) -> LenientExtraction {
+        extract_lenient_mode_observed(bin, view, ContextMode::FunctionLocal, &cati_obs::NOOP)
     }
 
     #[test]
@@ -1038,7 +978,12 @@ mod tests {
         let bin = sample_binary(OptLevel::O0, 13);
         for view in [FeatureView::WithSymbols, FeatureView::Stripped] {
             let strict = extract_mode(&bin, view, ContextMode::Interprocedural).unwrap();
-            let lenient = extract_lenient_mode(&bin, view, ContextMode::Interprocedural);
+            let lenient = extract_lenient_mode_observed(
+                &bin,
+                view,
+                ContextMode::Interprocedural,
+                &cati_obs::NOOP,
+            );
             assert_eq!(strict, lenient.extraction);
             assert!(lenient.diagnostics.is_empty());
         }
@@ -1074,7 +1019,13 @@ mod tests {
         // the non-blank remainder of the edge overhang.
         assert_eq!(padded, blanks);
         let local_obs = cati_obs::Recorder::new(cati_obs::RecorderConfig::default());
-        extract_observed(&bin, FeatureView::WithSymbols, &local_obs).unwrap();
+        extract_mode_observed(
+            &bin,
+            FeatureView::WithSymbols,
+            ContextMode::FunctionLocal,
+            &local_obs,
+        )
+        .unwrap();
         assert_eq!(counter(&local_obs, "extract.windows_spliced"), 0);
         assert_eq!(
             counter(&local_obs, "extract.windows_padded"),

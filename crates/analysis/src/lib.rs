@@ -45,10 +45,9 @@ pub use error::{
     CatiError, Coverage, Diagnostic, Diagnostics, ExtractError, PipelineStage, MAX_DIAGNOSTICS,
 };
 pub use extract::{
-    detect_frame_base, extract, extract_lenient, extract_lenient_mode,
-    extract_lenient_mode_observed, extract_lenient_observed, extract_mode, extract_mode_observed,
-    extract_observed, split_functions, symbol_byte_ranges, Extraction, FeatureView,
-    LenientExtraction, VarKey, Variable, Vuc, WindowStats, VUC_LEN, WINDOW,
+    detect_frame_base, extract, extract_lenient_mode_observed, extract_mode, extract_mode_observed,
+    split_functions, symbol_byte_ranges, Extraction, FeatureView, LenientExtraction, VarKey,
+    Variable, Vuc, WindowStats, VUC_LEN, WINDOW,
 };
 pub use fields::{
     recover_fields_in, recover_struct_fields, score_fields, FieldList, FieldMember, FieldQuery,

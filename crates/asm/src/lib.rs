@@ -13,7 +13,7 @@
 //!   disassembly (see DESIGN.md for the substitution note);
 //! - [`binary`] — the executable container with symbol table, debug
 //!   section and `strip`;
-//! - [`generalize`] — paper Table II operand generalization into the
+//! - [`mod@generalize`] — paper Table II operand generalization into the
 //!   three-token-per-instruction form.
 //!
 //! # Example

@@ -5,7 +5,7 @@
 //! of how much the VUC contributes.
 
 use crate::VarTyper;
-use cati::{Config, Dataset, MultiStage};
+use cati::{Config, Dataset, MultiStage, Tensor};
 use cati_analysis::{Extraction, WINDOW};
 use cati_asm::generalize::GenInsn;
 use cati_dwarf::TypeClass;
@@ -73,15 +73,12 @@ impl VarTyper for NoContextCati {
     }
 
     fn predict_var(&self, ex: &Extraction, var_idx: usize) -> TypeClass {
-        let dists: Vec<Vec<f32>> = ex.vars[var_idx]
-            .vucs
-            .iter()
-            .map(|&v| {
-                let blanked = blank_context(&ex.vucs[v as usize].insns);
-                let x = self.embedder.embed_window(&blanked);
-                self.stages.leaf_distribution(&x)
-            })
-            .collect();
+        let xs = Tensor::from_rows(ex.vars[var_idx].vucs.iter().map(|&v| {
+            let blanked = blank_context(&ex.vucs[v as usize].insns);
+            self.embedder.embed_window(&blanked)
+        }));
+        let dists = self.stages.leaf_distributions_batch(&xs);
+        let dists: Vec<&[f32]> = dists.rows_iter().collect();
         TypeClass::ALL[cati::vote(&dists, self.threshold).class]
     }
 }

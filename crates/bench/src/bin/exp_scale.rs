@@ -76,9 +76,7 @@ fn rungs(scale: Scale) -> Vec<usize> {
 }
 
 fn workspace_path(rel: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(rel)
+    cati_bench::workspace_root().join(rel)
 }
 
 /// Deterministic chunked corpus generator: cycles the 24-project

@@ -15,14 +15,13 @@
 
 use cati::obs::{Observer, Recorder};
 use cati::{embedding_sentences, ArtifactCache, Cati, Config, Dataset, MultiStage};
-use cati_analysis::FeatureView;
-use cati_bench::{RunObs, Scale, SEED};
+use cati_analysis::{ContextMode, FeatureView};
+use cati_bench::{workspace_root, RunObs, Scale, SEED};
 use cati_embedding::{VucEmbedder, Word2Vec};
 use cati_synbin::{build_corpus, Compiler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::json;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// One timed training + inference pass at a fixed thread count.
@@ -106,7 +105,13 @@ fn main() {
     let t = Instant::now();
     let train_ds = {
         let _span = cati::obs::SpanGuard::enter(run.obs(), "extract");
-        Dataset::from_binaries_observed(&corpus.train, FeatureView::WithSymbols, run.obs())
+        Dataset::from_binaries_mode(
+            &corpus.train,
+            FeatureView::WithSymbols,
+            ContextMode::FunctionLocal,
+            None,
+            run.obs(),
+        )
     };
     let t_extract_train = t.elapsed();
     println!(
@@ -176,8 +181,7 @@ fn main() {
         stages,
     };
     let stripped: Vec<_> = corpus.test.iter().map(|b| b.binary.strip()).collect();
-    let artifacts_dir =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/cati-cache/speed-artifacts");
+    let artifacts_dir = workspace_root().join("target/cati-cache/speed-artifacts");
     let _ = std::fs::remove_dir_all(&artifacts_dir);
     let artifacts = ArtifactCache::open(&artifacts_dir).expect("open artifact cache");
     let infer_all = |cache: Option<&ArtifactCache>, obs: &dyn Observer| {
@@ -230,69 +234,6 @@ fn main() {
         model_mapped_tensors > 0,
         "v2 model load should be zero-copy on unix"
     );
-
-    // Quantized inference parity: quantize a clone at each mode,
-    // infer over the stripped test set twice (the determinism gate),
-    // and measure the accuracy cost against the f32 outputs —
-    // class-change fraction and mean |Δconfidence| — for the run
-    // manifest. The f32 engine itself is never touched.
-    let f32_vars: Vec<Vec<_>> = stripped
-        .iter()
-        .map(|bin| {
-            let mut v = cati.infer(bin).expect("inference");
-            v.sort_by_key(|v| (v.key.func, v.key.offset));
-            v
-        })
-        .collect();
-    let quant_parity = |mode: cati::nn::QuantMode| {
-        let mut q = cati.clone();
-        q.quantize(mode);
-        let pass = || -> Vec<Vec<_>> {
-            stripped
-                .iter()
-                .map(|bin| {
-                    let mut v = q.infer(bin).expect("quantized inference");
-                    v.sort_by_key(|v| (v.key.func, v.key.offset));
-                    v
-                })
-                .collect()
-        };
-        let qv = pass();
-        assert_eq!(
-            qv,
-            pass(),
-            "{mode} quantized inference must be deterministic"
-        );
-        let (mut changed, mut total) = (0usize, 0usize);
-        let mut conf_delta = 0.0f64;
-        for (fv, qv) in f32_vars.iter().zip(&qv) {
-            assert_eq!(fv.len(), qv.len(), "{mode} changed the variable set");
-            for (a, b) in fv.iter().zip(qv) {
-                total += 1;
-                changed += usize::from(a.class != b.class);
-                conf_delta += f64::from((a.confidence - b.confidence).abs());
-            }
-        }
-        let frac = changed as f64 / total.max(1) as f64;
-        let mean_dconf = conf_delta / total.max(1) as f64;
-        println!(
-            "quantized ({mode}): {changed}/{total} class changes ({:.2}%), \
-             mean |Δconfidence| {mean_dconf:.5}",
-            frac * 100.0
-        );
-        json!({
-            "mode": mode.name(),
-            "vars": total,
-            "class_changes": changed,
-            "class_change_fraction": frac,
-            "mean_abs_confidence_delta": mean_dconf,
-            "deterministic": true,
-        })
-    };
-    let quantized = vec![
-        quant_parity(cati::nn::QuantMode::Int8),
-        quant_parity(cati::nn::QuantMode::F16),
-    ];
 
     // Embedding throughput: VUC rows embedded per second over the
     // stripped test set (the tensor-build stage of inference).
@@ -447,7 +388,6 @@ fn main() {
         "model_bytes": model_bytes,
         "model_load_ms": model_load_ms,
         "model_mapped_tensors": model_mapped_tensors,
-        "quantized": quantized,
         "embed_rows_per_s": embed_rows_per_s,
         "serve_cold_reqs_per_s": serve_cold_reqs_per_s,
         "serve_cold_p50_ms": serve_cold_p50_ms,

@@ -4,14 +4,15 @@
 //! DESIGN.md §4 for the index) plus criterion benchmarks. All
 //! experiment binaries accept `--scale small|medium|paper` and share
 //! a cached trained model per `(scale, seed, compiler)` under
-//! `target/cati-cache/`.
+//! `target/cati-cache/` of the work tree they run in (see
+//! [`workspace_root`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cati::obs::{git_rev, Level, LogFormat, Observer, Recorder, RecorderConfig};
 use cati::{ArtifactCache, Cati, Config, Dataset};
-use cati_analysis::FeatureView;
+use cati_analysis::{ContextMode, FeatureView};
 use cati_synbin::{build_corpus, Compiler, Corpus, CorpusConfig};
 use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
@@ -87,7 +88,7 @@ pub const SEED: u64 = 2020;
 /// - `--log-level error|warn|info|debug` — mirror threshold
 /// - `--batch-stats` — also record per-minibatch gradient norms
 /// - `--manifest PATH` — manifest destination (default
-///   `results/runs/<name>.jsonl` under the workspace root)
+///   `results/runs/<name>.jsonl` under [`workspace_root`])
 /// - `--no-manifest` — skip manifest writing
 ///
 /// Experiments additionally honor `--cache-dir DIR` (see
@@ -153,7 +154,7 @@ impl RunObs {
         let mut meta = serde_json::Map::new();
         meta.insert("name".to_string(), json!(self.name.as_str()));
         meta.insert("seed".to_string(), json!(SEED));
-        if let Some(rev) = git_rev(Path::new(env!("CARGO_MANIFEST_DIR"))) {
+        if let Some(rev) = git_rev(&workspace_root()) {
             meta.insert("git_rev".to_string(), json!(rev));
         }
         if let Value::Object(extra) = extra {
@@ -184,8 +185,29 @@ impl Drop for RunObs {
     }
 }
 
+/// The nearest ancestor of `start` (itself included) that holds a
+/// `.git` entry — a directory in a clone, a file in a linked work
+/// tree.
+fn work_tree_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| dir.join(".git").exists())
+        .map(Path::to_path_buf)
+}
+
+/// The work tree the experiment runs in, resolved at run time as the
+/// nearest ancestor of the current directory holding `.git`, or the
+/// current directory itself outside any work tree. Manifests, the
+/// model cache and the `git_rev` stamp all come from here, so a copied
+/// bench binary records and writes into the tree it runs in, not the
+/// one it was built from.
+pub fn workspace_root() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    work_tree_root(&cwd).unwrap_or(cwd)
+}
+
 fn runs_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/runs")
+    workspace_root().join("results/runs")
 }
 
 /// A fully prepared experiment context.
@@ -203,7 +225,7 @@ pub struct Ctx {
 }
 
 fn cache_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/cati-cache");
+    let dir = workspace_root().join("target/cati-cache");
     std::fs::create_dir_all(&dir).ok();
     dir
 }
@@ -272,14 +294,17 @@ pub fn load_ctx_observed(scale: Scale, compiler: Compiler, obs: &dyn Observer) -
     cati::obs::info!(obs, "extracting test set...");
     let artifacts = artifact_cache_from_args();
     let _span = cati::obs::SpanGuard::enter(obs, "ctx.extract_test");
-    let test =
-        Dataset::from_binaries_cached(&corpus.test, FeatureView::Stripped, artifacts.as_ref(), obs);
-    let train = Dataset::from_binaries_cached(
-        &corpus.train,
-        FeatureView::WithSymbols,
-        artifacts.as_ref(),
-        obs,
-    );
+    let extract = |built, view| {
+        Dataset::from_binaries_mode(
+            built,
+            view,
+            ContextMode::FunctionLocal,
+            artifacts.as_ref(),
+            obs,
+        )
+    };
+    let test = extract(&corpus.test, FeatureView::Stripped);
+    let train = extract(&corpus.train, FeatureView::WithSymbols);
     Ctx {
         corpus,
         cati,
@@ -311,3 +336,24 @@ pub const TEST_APPS: [&str; 12] = [
     "sed",
     "wget",
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn work_tree_root_is_the_nearest_ancestor_with_git() {
+        let base = std::env::temp_dir().join(format!("cati_bench_root_{}", std::process::id()));
+        let outer = base.join("outer");
+        let inner = outer.join("crates/inner");
+        let deep = inner.join("src/bin");
+        std::fs::create_dir_all(&deep).unwrap();
+        std::fs::create_dir_all(outer.join(".git")).unwrap();
+        assert_eq!(work_tree_root(&deep), Some(outer.clone()));
+        assert_eq!(work_tree_root(&outer), Some(outer.clone()));
+        // A linked work tree marks its root with a `.git` file.
+        std::fs::write(inner.join(".git"), "gitdir: elsewhere\n").unwrap();
+        assert_eq!(work_tree_root(&deep), Some(inner.clone()));
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+}

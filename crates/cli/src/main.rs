@@ -16,9 +16,9 @@
 //! [`cati_asm::Binary`]; `build-corpus` writes one file per binary
 //! plus a manifest.
 
-use cati::obs::{git_rev, Level, LogFormat, Manifest, Recorder, RecorderConfig};
-use cati::{ArtifactCache, Cati, Config};
-use cati_analysis::{extract_lenient_mode, extract_mode, ContextMode, FeatureView};
+use cati::obs::{git_rev, Level, LogFormat, Manifest, Recorder, RecorderConfig, SpanGuard};
+use cati::{render_json, ArtifactCache, Cati, Config};
+use cati_analysis::{extract_lenient_mode_observed, extract_mode, ContextMode, FeatureView};
 use cati_asm::binary::Binary;
 use cati_asm::fmt::format_insn;
 use cati_serve::{HangLimit, ServeConfig, Server};
@@ -275,7 +275,7 @@ fn cmd_vars(args: &Args) -> Result<(), String> {
     };
     let mode = context_of(args)?.unwrap_or_default();
     let ex = if lenient_of(args)? {
-        let lenient = extract_lenient_mode(&binary, view, mode);
+        let lenient = extract_lenient_mode_observed(&binary, view, mode, &cati::obs::NOOP);
         for diag in &lenient.diagnostics.entries {
             eprintln!("warning: {diag}");
         }
@@ -430,9 +430,8 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         .positional
         .first()
         .ok_or("infer requires a binary path")?;
-    let cati = Cati::load(model).map_err(|e| e.to_string())?;
+    let mut cati = Cati::load(model).map_err(|e| e.to_string())?;
     let binary = load_binary(path)?;
-    let mut cati = cati;
     if let Some(t) = args.flags.get("threads") {
         cati.config.threads = t.parse().unwrap_or(0);
     }
@@ -441,17 +440,6 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     if let Some(mode) = context_of(args)? {
         cati.config.context_mode = mode;
     }
-    // Opt-in quantized inference: snap the weights before anything is
-    // embedded or cached. Deterministic, but not bit-identical to the
-    // f32 model — see DESIGN.md §15.
-    let quantize = args
-        .flags
-        .get("quantize")
-        .map(|m| cati::nn::QuantMode::parse(m))
-        .transpose()?;
-    if let Some(mode) = quantize {
-        cati.quantize(mode);
-    }
     let recorder = recorder_of(args);
     let lenient = lenient_of(args)?;
     let artifacts = args
@@ -459,58 +447,40 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         .get("cache-dir")
         .map(|dir| ArtifactCache::open(dir).map_err(|e| format!("open cache {dir}: {e}")))
         .transpose()?;
-    let report = if lenient {
-        Some(cati.infer_lenient_observed(&binary, &recorder))
-    } else {
-        None
+    // The same prepare → classify → vote → render path `cati serve`
+    // runs, so the two outputs cannot drift.
+    let (mut inferred, report) = {
+        let _span = SpanGuard::enter(&recorder, "infer");
+        let prepared = cati
+            .prepare(&binary, lenient, artifacts.as_ref(), &recorder)
+            .map_err(|e| e.to_string())?;
+        (cati.classify(&prepared, &recorder), prepared.report)
     };
-    let mut inferred = match &report {
-        Some(report) => report.vars.clone(),
-        None => cati
-            .infer_cached(&binary, artifacts.as_ref(), &recorder)
-            .map_err(|e| e.to_string())?,
-    };
-    inferred.sort_by_key(|v| (v.key.func, v.key.offset));
-    let meta = match &report {
-        Some(report) => serde_json::json!({
-            "model": model.as_str(),
-            "binary": path.as_str(),
-            "mode": "lenient",
-            "context": cati.config.context_mode.name(),
-            "quantize": quantize.map_or("none", |m| m.name()),
-            "variables": inferred.len(),
-            "cache_hits": recorder.metrics().counter_value("cache.hit"),
-            "cache_misses": recorder.metrics().counter_value("cache.miss"),
-            "coverage": serde_json::to_value(&report.coverage).map_err(|e| e.to_string())?,
-            "diagnostics": report.diagnostics.total(),
-        }),
-        None => serde_json::json!({
-            "model": model.as_str(),
-            "binary": path.as_str(),
-            "mode": "strict",
-            "context": cati.config.context_mode.name(),
-            "quantize": quantize.map_or("none", |m| m.name()),
-            "variables": inferred.len(),
-            "cache_hits": recorder.metrics().counter_value("cache.hit"),
-            "cache_misses": recorder.metrics().counter_value("cache.miss"),
-        }),
-    };
+    // Rendering also sorts `inferred`, so the text table below lists
+    // the variables in the order the JSON body does.
+    let body = render_json(&mut inferred, report.as_ref()).map_err(|e| e.to_string())?;
+    let mut meta = serde_json::json!({
+        "model": model.as_str(),
+        "binary": path.as_str(),
+        "mode": if lenient { "lenient" } else { "strict" },
+        "context": cati.config.context_mode.name(),
+        "variables": inferred.len(),
+        "cache_hits": recorder.metrics().counter_value("cache.hit"),
+        "cache_misses": recorder.metrics().counter_value("cache.miss"),
+    });
+    if let (Some((coverage, diagnostics)), serde_json::Value::Object(m)) = (&report, &mut meta) {
+        let coverage = serde_json::to_value(coverage).map_err(|e| e.to_string())?;
+        m.insert("coverage".to_string(), coverage);
+        m.insert("diagnostics".to_string(), diagnostics.total().into());
+    }
     write_manifest_if_requested(args, &recorder, "infer", &meta)?;
-    if let Some(report) = &report {
-        for diag in &report.diagnostics.entries {
+    if let Some((_, diagnostics)) = &report {
+        for diag in &diagnostics.entries {
             eprintln!("warning: {diag}");
         }
     }
     if args.switches.contains("json") {
-        let payload = match &report {
-            Some(report) => {
-                let mut sorted = report.clone();
-                sorted.vars = inferred.clone();
-                serde_json::to_string_pretty(&sorted)
-            }
-            None => serde_json::to_string_pretty(&inferred),
-        };
-        println!("{}", payload.map_err(|e| e.to_string())?);
+        println!("{body}");
         return Ok(());
     }
     println!(
@@ -527,8 +497,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
             var.confidence * 100.0
         );
     }
-    if let Some(report) = &report {
-        let cov = &report.coverage;
+    if let Some((cov, diagnostics)) = &report {
         println!(
             "coverage: {}/{} functions, {}/{} bytes skipped, debug {}, {} diagnostic(s)",
             cov.functions_total - cov.functions_skipped,
@@ -542,7 +511,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
             } else {
                 "rejected"
             },
-            report.diagnostics.total(),
+            diagnostics.total(),
         );
     }
     Ok(())
@@ -965,7 +934,7 @@ USAGE:
   cati train --corpus DIR --out MODEL.cati [--scale small|medium|paper] [--threads N]
              [--checkpoint-dir DIR] [--resume] [--context function|interproc]
   cati infer --model MODEL.cati BINARY.json [--strict|--lenient] [--json] [--threads N] [--cache-dir DIR]
-             [--quantize int8|f16] [--context function|interproc]
+             [--context function|interproc]
   cati fuzz [--seed N] [--mutants N] [--budget 60s] [--hang-limit-ms N] [--out DIR] [--replay CASE.json]
   cati serve --model MODEL.cati [--addr HOST:PORT] [--queue-capacity N] [--max-batch N] [--workers N]
              [--hang-limit-ms N] [--cache-dir DIR] [--threads N] [--manifest PATH]
@@ -1052,14 +1021,6 @@ Model format:
     cati convert --model old.json --out model.cati               # JSON -> CATI1 v2
     cati convert --model model.cati --out m.json --format json   # CATI1 -> JSON
     cati convert --model model.cati --out v1.cati --format cati1-v1  # v2 -> legacy v1
-
-Quantized inference:
-  `cati infer --quantize int8|f16` snaps the loaded weights onto a
-  coarser grid before inference (per-row symmetric int8, or IEEE
-  binary16), dequantized back to f32 so every kernel runs the normal
-  deterministic path. Output is reproducible but NOT bit-identical to
-  the f32 model; the accuracy delta is measured by the bench parity
-  harness and recorded in its run manifest.
 
 Telemetry (train, infer, serve):
   --log-format text|json        live event mirror on stderr (default text)

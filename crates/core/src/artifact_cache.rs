@@ -11,7 +11,7 @@
 //! `cache.bytes` counters flow through the observer into run
 //! manifests.
 
-use crate::dataset::embed_extraction;
+use crate::dataset::embed_observed;
 use cati_analysis::{
     digest_binary, digest_bytes, extract_mode_observed, ContextMode, Digest, ExtractError,
     Extraction, FeatureView,
@@ -149,22 +149,6 @@ impl ArtifactCache {
         }
     }
 
-    /// The extraction of `binary` under `view` in the baseline
-    /// ([`ContextMode::FunctionLocal`]) mode.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a cache miss forces extraction and the binary's text
-    /// section does not decode.
-    pub fn extraction(
-        &self,
-        binary: &Binary,
-        view: FeatureView,
-        obs: &dyn Observer,
-    ) -> Result<Extraction, ExtractError> {
-        self.extraction_mode(binary, view, ContextMode::FunctionLocal, obs)
-    }
-
     /// The extraction of `binary` under `view` and `mode`: loaded
     /// from the cache when the binary's digest matches (the key
     /// carries the mode tag, so entries of one mode are invisible to
@@ -196,23 +180,11 @@ impl ArtifactCache {
     }
 
     /// The embedded tensors of `ex`'s VUCs under `embedder`: loaded
-    /// from the cache when both the binary digest and the model
-    /// fingerprint match, otherwise embedded (counting
-    /// `embed.windows`) and stored.
-    pub fn embeddings(
-        &self,
-        binary: &Binary,
-        view: FeatureView,
-        embedder: &VucEmbedder,
-        ex: &Extraction,
-        obs: &dyn Observer,
-    ) -> Tensor {
-        self.embeddings_mode(binary, view, ContextMode::FunctionLocal, embedder, ex, obs)
-    }
-
-    /// [`ArtifactCache::embeddings`] keyed by context mode — the
-    /// embedded rows derive from the mode-dependent extraction, so
-    /// they need the same key separation.
+    /// from the cache when the binary digest, the context mode and
+    /// the model fingerprint all match, otherwise embedded (counting
+    /// `embed.windows`) and stored. The rows derive from the
+    /// mode-dependent extraction, so they need the same key
+    /// separation as [`ArtifactCache::extraction_mode`].
     pub fn embeddings_mode(
         &self,
         binary: &Binary,
@@ -234,11 +206,7 @@ impl ArtifactCache {
                 return xs;
             }
         }
-        let xs = embed_extraction(ex, embedder);
-        obs.event(&Event::Counter {
-            name: "embed.windows",
-            delta: ex.vucs.len() as u64,
-        });
+        let xs = embed_observed(ex, embedder, obs);
         self.store(&file, &xs, obs);
         xs
     }
@@ -256,6 +224,17 @@ mod tests {
         ArtifactCache::open(dir).unwrap()
     }
 
+    fn function_local(cache: &ArtifactCache, binary: &Binary, obs: &dyn Observer) -> Extraction {
+        cache
+            .extraction_mode(
+                binary,
+                FeatureView::Stripped,
+                ContextMode::FunctionLocal,
+                obs,
+            )
+            .unwrap()
+    }
+
     #[test]
     fn extraction_and_embeddings_roundtrip_with_counters() {
         let corpus = cati_synbin::build_corpus(&cati_synbin::CorpusConfig::small(23));
@@ -263,20 +242,30 @@ mod tests {
         let cache = temp_cache("roundtrip");
         let rec = Recorder::new(RecorderConfig::default());
 
-        let cold = cache
-            .extraction(binary, FeatureView::Stripped, &rec)
-            .unwrap();
+        let cold = function_local(&cache, binary, &rec);
         let direct = cati_analysis::extract(binary, FeatureView::Stripped).unwrap();
         assert_eq!(cold, direct, "cold path must equal direct extraction");
-        let warm = cache
-            .extraction(binary, FeatureView::Stripped, &rec)
-            .unwrap();
+        let warm = function_local(&cache, binary, &rec);
         assert_eq!(warm, direct, "warm path must equal direct extraction");
 
         let sentences = vec![vec!["mov".to_string(), "ret".to_string()]];
         let embedder = VucEmbedder::new(Word2Vec::train(&sentences, W2vConfig::tiny()));
-        let xs_cold = cache.embeddings(binary, FeatureView::Stripped, &embedder, &direct, &rec);
-        let xs_warm = cache.embeddings(binary, FeatureView::Stripped, &embedder, &direct, &rec);
+        let xs_cold = cache.embeddings_mode(
+            binary,
+            FeatureView::Stripped,
+            ContextMode::FunctionLocal,
+            &embedder,
+            &direct,
+            &rec,
+        );
+        let xs_warm = cache.embeddings_mode(
+            binary,
+            FeatureView::Stripped,
+            ContextMode::FunctionLocal,
+            &embedder,
+            &direct,
+            &rec,
+        );
         assert_eq!(xs_cold, xs_warm, "cached embeddings must be bit-identical");
         assert_eq!(
             xs_cold,
@@ -299,12 +288,8 @@ mod tests {
         let cache = temp_cache("modekey");
         let warmup = Recorder::new(RecorderConfig::default());
         // Warm the cache in FunctionLocal mode (twice: prove it's warm).
-        cache
-            .extraction(binary, FeatureView::Stripped, &warmup)
-            .unwrap();
-        cache
-            .extraction(binary, FeatureView::Stripped, &warmup)
-            .unwrap();
+        function_local(&cache, binary, &warmup);
+        function_local(&cache, binary, &warmup);
         assert_eq!(warmup.metrics().counter_value("cache.hit"), 1);
 
         // The same binary in Interprocedural mode must miss: the key
@@ -330,9 +315,7 @@ mod tests {
 
         // And both modes now coexist: each warm in its own key space.
         let warm = Recorder::new(RecorderConfig::default());
-        cache
-            .extraction(binary, FeatureView::Stripped, &warm)
-            .unwrap();
+        function_local(&cache, binary, &warm);
         cache
             .extraction_mode(
                 binary,
@@ -354,9 +337,7 @@ mod tests {
         let binary = &corpus.test[0].binary.strip();
         let cache = temp_cache("silent");
         let rec = Recorder::new(RecorderConfig::default());
-        let first = cache
-            .extraction(binary, FeatureView::Stripped, &rec)
-            .unwrap();
+        let first = function_local(&cache, binary, &rec);
         for entry in std::fs::read_dir(cache.dir()).unwrap() {
             let path = entry.unwrap().path();
             let mut bytes = std::fs::read(&path).unwrap();
@@ -371,9 +352,7 @@ mod tests {
             bytes[i] = if bytes[i] == b'1' { b'2' } else { b'1' };
             std::fs::write(&path, &bytes).unwrap();
         }
-        let healed = cache
-            .extraction(binary, FeatureView::Stripped, &rec)
-            .unwrap();
+        let healed = function_local(&cache, binary, &rec);
         assert_eq!(first, healed, "tampered entry must recompute, not serve");
         assert_eq!(rec.metrics().counter_value("cache.miss"), 2);
         std::fs::remove_dir_all(cache.dir()).ok();
@@ -385,22 +364,16 @@ mod tests {
         let binary = &corpus.test[0].binary.strip();
         let cache = temp_cache("corrupt");
         let rec = Recorder::new(RecorderConfig::default());
-        let first = cache
-            .extraction(binary, FeatureView::Stripped, &rec)
-            .unwrap();
+        let first = function_local(&cache, binary, &rec);
         // Truncate every entry; the next read must recompute and heal.
         for entry in std::fs::read_dir(cache.dir()).unwrap() {
             let path = entry.unwrap().path();
             std::fs::write(&path, b"{").unwrap();
         }
-        let healed = cache
-            .extraction(binary, FeatureView::Stripped, &rec)
-            .unwrap();
+        let healed = function_local(&cache, binary, &rec);
         assert_eq!(first, healed);
         assert_eq!(rec.metrics().counter_value("cache.miss"), 2);
-        let warm = cache
-            .extraction(binary, FeatureView::Stripped, &rec)
-            .unwrap();
+        let warm = function_local(&cache, binary, &rec);
         assert_eq!(first, warm);
         assert_eq!(rec.metrics().counter_value("cache.hit"), 1);
         std::fs::remove_dir_all(cache.dir()).ok();

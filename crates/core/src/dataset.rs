@@ -30,45 +30,23 @@ impl Dataset {
     /// Panics if a binary fails to extract — corpus binaries are
     /// produced by our own linker, so failure indicates a bug.
     pub fn from_binaries(built: &[BuiltBinary], view: FeatureView) -> Dataset {
-        Dataset::from_binaries_observed(built, view, &cati_obs::NOOP)
+        Dataset::from_binaries_mode(
+            built,
+            view,
+            ContextMode::FunctionLocal,
+            None,
+            &cati_obs::NOOP,
+        )
     }
 
-    /// [`Dataset::from_binaries`] with telemetry: extraction counters
-    /// (functions, variables, VUCs) accumulate into `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a binary fails to extract — corpus binaries are
-    /// produced by our own linker, so failure indicates a bug.
-    pub fn from_binaries_observed(
-        built: &[BuiltBinary],
-        view: FeatureView,
-        obs: &dyn Observer,
-    ) -> Dataset {
-        Dataset::from_binaries_cached(built, view, None, obs)
-    }
-
-    /// [`Dataset::from_binaries_observed`] through an optional
-    /// on-disk [`ArtifactCache`]: each extraction is loaded by the
-    /// binary's content digest when cached, extracted and stored
-    /// otherwise. The dataset is bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a binary fails to extract — corpus binaries are
-    /// produced by our own linker, so failure indicates a bug.
-    pub fn from_binaries_cached(
-        built: &[BuiltBinary],
-        view: FeatureView,
-        cache: Option<&crate::artifact_cache::ArtifactCache>,
-        obs: &dyn Observer,
-    ) -> Dataset {
-        Dataset::from_binaries_mode(built, view, ContextMode::FunctionLocal, cache, obs)
-    }
-
-    /// [`Dataset::from_binaries_cached`] under an explicit
-    /// [`ContextMode`]. Cache keys incorporate the mode, so warm
-    /// function-local artifacts are never served to an
+    /// [`Dataset::from_binaries`] under an explicit [`ContextMode`],
+    /// with telemetry (extraction counters accumulate into `obs`) and
+    /// an optional on-disk
+    /// [`ArtifactCache`](crate::artifact_cache::ArtifactCache): each
+    /// extraction is loaded by the binary's content digest when
+    /// cached, extracted and stored otherwise, and the dataset is
+    /// bit-identical either way. Cache keys incorporate the mode, so
+    /// warm function-local artifacts are never served to an
     /// interprocedural run (or vice versa).
     ///
     /// # Panics
@@ -305,7 +283,7 @@ pub(crate) fn plan_stage_samples(
 /// Builds the training set of one stage: every VUC whose ground-truth
 /// class carries a label at `stage`, embedded and labeled, capped and
 /// rare-class-oversampled per the configuration (see
-/// [`plan_stage_samples`]). Oversampling never adds more than
+/// `plan_stage_samples`). Oversampling never adds more than
 /// `max_count` duplicates per rare class (the safety bound), and
 /// everything it adds is counted into the `train.oversampled` counter
 /// on `obs` (with a warning when the bound truncates a class short of
@@ -396,6 +374,22 @@ pub fn embed_extraction(ex: &Extraction, embedder: &VucEmbedder) -> Tensor {
     if missed > 0 {
         embedder.prime(ex.vucs.iter().map(|v| v.insns.as_slice()));
     }
+    xs
+}
+
+/// [`embed_extraction`] plus the `embed.windows` counter, bumped by
+/// the number of VUCs embedded — the counter the benchmarks assert on
+/// to prove each extraction is embedded exactly once.
+pub(crate) fn embed_observed(
+    ex: &Extraction,
+    embedder: &VucEmbedder,
+    obs: &dyn Observer,
+) -> Tensor {
+    let xs = embed_extraction(ex, embedder);
+    obs.event(&Event::Counter {
+        name: "embed.windows",
+        delta: ex.vucs.len() as u64,
+    });
     xs
 }
 

@@ -11,7 +11,7 @@
 //! [`cati_synbin`] builds corpora, [`cati_analysis`] recovers
 //! variables and cuts VUCs, [`cati_embedding`] trains Word2Vec and
 //! embeds windows, [`cati_nn`] trains the stage CNNs. This crate adds
-//! the stage tree ([`multistage`]), voting ([`vote`]), metrics
+//! the stage tree ([`multistage`]), voting ([`mod@vote`]), metrics
 //! ([`metrics`]), occlusion analysis ([`occlusion`], paper Fig. 6),
 //! compiler identification ([`compiler_id`], §VIII), the DEBIN
 //! comparison task ([`debin`]) and the end-to-end [`Cati`] pipeline.
@@ -73,8 +73,8 @@ pub use occlusion::{
     importance_heatmap, occlusion_epsilons, occlusion_epsilons_embedded, ImportanceHeatmap,
 };
 pub use pipeline::{
-    pipeline_accuracy, pipeline_accuracy_session, stage_var_metrics, stage_vuc_metrics, Cati,
-    Evaluation, InferReport, InferredVar,
+    pipeline_accuracy, pipeline_accuracy_session, render_json, stage_var_metrics,
+    stage_vuc_metrics, Cati, Evaluation, InferReport, InferredVar, Prepared,
 };
 pub use session::EmbeddedExtraction;
 pub use shards::{write_dataset_shards, ShardError, ShardSamples, ShardSet, ShardWriter};

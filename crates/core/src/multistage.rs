@@ -218,7 +218,7 @@ impl MultiStage {
     /// construction: each stage derives the identical RNG, filters the
     /// shard label bytes into the identical stage-label sequence the
     /// in-memory pool would produce, runs the *same*
-    /// [`plan_stage_samples`] planner over it (RNG consumption depends
+    /// `plan_stage_samples` planner over it (RNG consumption depends
     /// only on lengths and label multiplicities), and feeds the shard
     /// rows through the same [`cati_nn::SampleSource`] trainer — the
     /// shuffle, minibatch sharding, and reduction order never see
@@ -365,12 +365,6 @@ impl MultiStage {
         &self.models
     }
 
-    /// Mutable access to the `(stage, model)` pairs — the
-    /// quantization path ([`crate::pipeline::Cati::quantize`]).
-    pub fn models_mut(&mut self) -> &mut [(StageId, TextCnn)] {
-        &mut self.models
-    }
-
     /// The model for one stage.
     ///
     /// # Panics
@@ -384,12 +378,6 @@ impl MultiStage {
             .find(|(s, _)| *s == stage)
             .expect("stage trained")
             .1
-    }
-
-    /// Per-stage class probabilities for one embedded VUC: the
-    /// batched path on a batch of one.
-    pub fn stage_probs(&self, stage: StageId, x: &[f32]) -> Vec<f32> {
-        self.stage_probs_batch(stage, &[x][..]).into_flat()
     }
 
     /// Per-stage class probabilities for a batch of embedded VUCs
@@ -460,12 +448,6 @@ impl MultiStage {
         out
     }
 
-    /// The full 19-class leaf distribution of one embedded VUC: the
-    /// batched path on a batch of one.
-    pub fn leaf_distribution(&self, x: &[f32]) -> Vec<f32> {
-        self.leaf_distributions_batch(&[x][..]).into_flat()
-    }
-
     /// Greedy tree descent: the argmax label at each stage decides the
     /// branch; returns the leaf and the (stage, label, confidence)
     /// path.
@@ -473,9 +455,9 @@ impl MultiStage {
         let mut stage = StageId::Stage1;
         let mut path = Vec::with_capacity(3);
         loop {
-            let probs = self.stage_probs(stage, x);
-            let label = argmax(&probs);
-            path.push((stage, label, probs[label]));
+            let probs = self.stage_probs_batch(stage, &[x][..]);
+            let label = argmax(probs.row(0));
+            path.push((stage, label, probs.row(0)[label]));
             if let Some(leaf) = stage.leaf(label) {
                 return (leaf, path);
             }
@@ -508,7 +490,8 @@ mod tests {
         let (ms, embedder, ds) = trained();
         let ex = &ds.entries[0].1;
         let x = embedder.embed_window(&ex.vucs[0].insns);
-        let dist = ms.leaf_distribution(&x);
+        let dists = ms.leaf_distributions_batch(&[&x[..]][..]);
+        let dist = dists.row(0);
         assert_eq!(dist.len(), 19);
         let sum: f32 = dist.iter().sum();
         assert!((sum - 1.0).abs() < 1e-3, "leaf distribution sums to {sum}");
@@ -572,7 +555,8 @@ mod tests {
                 let x = embedder.embed_window(&vuc.insns);
                 let (leaf, path) = ms.descend(&x);
                 assert!(!path.is_empty() && path.len() <= 3);
-                let dist = ms.leaf_distribution(&x);
+                let dists = ms.leaf_distributions_batch(&[&x[..]][..]);
+                let dist = dists.row(0);
                 let argmax = TypeClass::ALL[dist
                     .iter()
                     .enumerate()
@@ -602,7 +586,8 @@ mod tests {
                 };
                 let truth = usize::from(class.is_pointer());
                 let x = embedder.embed_window(&vuc.insns);
-                let p = ms.stage_probs(StageId::Stage1, &x);
+                let probs = ms.stage_probs_batch(StageId::Stage1, &[&x[..]][..]);
+                let p = probs.row(0);
                 let pred = usize::from(p[1] > p[0]);
                 correct += usize::from(pred == truth);
                 total += 1;

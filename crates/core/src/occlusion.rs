@@ -11,7 +11,7 @@ use crate::session::EmbeddedExtraction;
 use cati_analysis::VUC_LEN;
 use cati_asm::generalize::GenInsn;
 use cati_dwarf::StageId;
-use cati_nn::argmax;
+use cati_nn::{argmax, Tensor};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -31,21 +31,26 @@ pub fn occlusion_epsilons(cati: &Cati, window: &[GenInsn], stage: StageId) -> Ep
 /// [`occlusion_epsilons`] for a window whose embedding `x` (an
 /// `embed_dim × len` tensor) is already in hand — the fast path: each
 /// of the `len` probes patches only the blanked position's channel
-/// column instead of re-embedding the whole window. Identical output:
-/// a BLANK column carries the same floats wherever it is written.
+/// column instead of re-embedding the whole window (identical output:
+/// a BLANK column carries the same floats wherever it is written),
+/// and the intact window plus every probe classify as one batch.
 pub fn occlusion_epsilons_embedded(cati: &Cati, x: &[f32], len: usize, stage: StageId) -> Epsilons {
-    let base_probs = cati.stages.stage_probs(stage, x);
-    let best = argmax(&base_probs);
-    let base_conf = base_probs[best].max(1e-6);
+    // Row 0 is the intact window; row k + 1 has position k blanked.
     let blank = GenInsn::blank();
-    (0..len)
-        .map(|k| {
-            let mut xo = x.to_vec();
-            cati.embedder.patch_window_position(&mut xo, len, k, &blank);
-            let probs = cati.stages.stage_probs(stage, &xo);
-            probs[best] / base_conf
-        })
-        .collect()
+    let mut data = Vec::with_capacity((len + 1) * x.len());
+    data.extend_from_slice(x);
+    for k in 0..len {
+        let start = data.len();
+        data.extend_from_slice(x);
+        cati.embedder
+            .patch_window_position(&mut data[start..], len, k, &blank);
+    }
+    let probs = cati
+        .stages
+        .stage_probs_batch(stage, &Tensor::from_flat(len + 1, x.len(), data));
+    let best = argmax(probs.row(0));
+    let base_conf = probs.row(0)[best].max(1e-6);
+    (1..=len).map(|r| probs.row(r)[best] / base_conf).collect()
 }
 
 /// Fig. 6(b): per position (row), the cumulative fraction of VUCs
@@ -143,9 +148,12 @@ mod tests {
         .unwrap();
         let window = &ex.vucs[0].insns;
         let fast = occlusion_epsilons(&cati, window, StageId::Stage1);
-        let base_probs = cati
-            .stages
-            .stage_probs(StageId::Stage1, &cati.embedder.embed_window(window));
+        let one = |x: Vec<f32>| {
+            cati.stages
+                .stage_probs_batch(StageId::Stage1, &[x][..])
+                .into_flat()
+        };
+        let base_probs = one(cati.embedder.embed_window(window));
         let (argmax, base_conf) = base_probs
             .iter()
             .enumerate()
@@ -158,7 +166,7 @@ mod tests {
                 let mut occluded = window.clone();
                 occluded[k] = GenInsn::blank();
                 let xo = cati.embedder.embed_window(&occluded);
-                cati.stages.stage_probs(StageId::Stage1, &xo)[argmax] / base_conf
+                one(xo)[argmax] / base_conf
             })
             .collect();
         assert_eq!(fast, naive, "patched probes diverged from re-embedding");

@@ -4,7 +4,7 @@
 use crate::artifact_cache::ArtifactCache;
 use crate::checkpoint::{CheckpointDir, TrainIdentity};
 use crate::config::Config;
-use crate::dataset::{embedding_sentences, Dataset};
+use crate::dataset::{embed_observed, embedding_sentences, Dataset};
 use crate::metrics::{Confusion, Prf};
 use crate::multistage::{MultiStage, StreamError, StreamOptions};
 use crate::session::EmbeddedExtraction;
@@ -17,7 +17,7 @@ use cati_analysis::{
 use cati_asm::binary::Binary;
 use cati_dwarf::{StageId, TypeClass};
 use cati_embedding::{VucEmbedder, Word2Vec};
-use cati_nn::{argmax, QuantMode, Tensor};
+use cati_nn::{argmax, Tensor};
 use cati_obs::metrics::UNIT_BUCKETS;
 use cati_obs::{Event, Observer, SpanGuard};
 use cati_synbin::BuiltBinary;
@@ -65,6 +65,20 @@ pub struct InferredVar {
     pub confidence: f32,
     /// Number of VUCs that voted.
     pub vuc_count: u32,
+}
+
+/// The front half of inference for one stripped binary: its
+/// extraction and one embedded row per VUC, ready for a
+/// classification pass (see [`Cati::prepare`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Prepared {
+    /// The (for lenient requests possibly partial) extraction.
+    pub extraction: Extraction,
+    /// One embedded row per `extraction.vucs` entry.
+    pub rows: Tensor,
+    /// Coverage and diagnostics of a lenient request; `None` for a
+    /// strict one.
+    pub report: Option<(Coverage, Diagnostics)>,
 }
 
 /// The outcome of a lenient inference run: always produced, with the
@@ -235,30 +249,14 @@ impl Cati {
         })
     }
 
-    /// Leaf distribution (19 classes) of one generalized window.
-    pub fn predict_window(&self, insns: &[cati_asm::generalize::GenInsn]) -> Vec<f32> {
-        let x = self.embedder.embed_window(insns);
-        self.stages.leaf_distribution(&x)
-    }
-
     /// Evaluates one labeled extraction: per-VUC distributions and
     /// per-variable votes. All six stages run as batched passes over
     /// the whole extraction; votes index the shared distribution
     /// table by reference instead of cloning per-variable copies.
     pub fn evaluate(&self, ex: &Extraction) -> Evaluation {
-        self.evaluate_observed(ex, &cati_obs::NOOP)
-    }
-
-    /// [`Cati::evaluate`] with telemetry: an `evaluate` span, an
-    /// `embed.windows` counter, the `classify.conv1_columns` /
-    /// `classify.conv1_triples` work counters, vote clip-rate counters
-    /// (`vote.clipped` / `vote.considered`), and a winning-share
-    /// histogram (`vote.confidence`). The evaluation is bit-identical
-    /// to the unobserved path for any observer.
-    pub fn evaluate_observed(&self, ex: &Extraction, obs: &dyn Observer) -> Evaluation {
         self.config.with_threads(|| {
-            let session = EmbeddedExtraction::new_observed(&self.embedder, ex, obs);
-            self.evaluate_session_inner(&session, obs)
+            let session = EmbeddedExtraction::new(&self.embedder, ex);
+            self.evaluate_session_inner(&session, &cati_obs::NOOP)
         })
     }
 
@@ -287,36 +285,9 @@ impl Cati {
         self.vote_dists(session.extraction(), vuc_dists, obs)
     }
 
-    /// Evaluates an extraction from **precomputed** leaf distributions
-    /// (one 19-class row per VUC, e.g. a per-request slice of a
-    /// cross-request micro-batch). Rows must be exactly what
-    /// [`MultiStage::leaf_distributions_batch`] yields for the
-    /// extraction's embedded VUCs; per-row classification is
-    /// row-independent, so a slice of a larger batch is bit-identical
-    /// to a dedicated pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vuc_dists` is not parallel to `ex.vucs`.
-    pub fn evaluate_dists(
-        &self,
-        ex: &Extraction,
-        vuc_dists: Tensor,
-        obs: &dyn Observer,
-    ) -> Evaluation {
-        assert_eq!(
-            vuc_dists.rows(),
-            ex.vucs.len(),
-            "one distribution row per VUC: got {} rows for {} VUCs",
-            vuc_dists.rows(),
-            ex.vucs.len()
-        );
-        self.vote_dists(ex, vuc_dists, obs)
-    }
-
     /// The voting half of an evaluation: per-VUC argmax plus the
     /// Eq. 3/4 per-variable vote over `vuc_dists`. Shared by the
-    /// session paths and [`Cati::evaluate_dists`] so the batched
+    /// session paths and [`Cati::infer_prepared`] so the batched
     /// serve path cannot drift from one-shot inference.
     fn vote_dists(&self, ex: &Extraction, vuc_dists: Tensor, obs: &dyn Observer) -> Evaluation {
         let vuc_preds: Vec<TypeClass> = vuc_dists
@@ -414,39 +385,75 @@ impl Cati {
         obs: &dyn Observer,
     ) -> Result<Vec<InferredVar>, ExtractError> {
         let _span = SpanGuard::enter(obs, "infer");
-        let mode = self.config.context_mode;
-        let ex = match cache {
-            Some(cache) => cache.extraction_mode(binary, FeatureView::Stripped, mode, obs)?,
-            None => extract_mode_observed(binary, FeatureView::Stripped, mode, obs)?,
-        };
-        let eval = self.config.with_threads(|| {
-            let session = match cache {
-                Some(c) => EmbeddedExtraction::from_embeddings(
-                    &ex,
-                    c.embeddings_mode(
-                        binary,
-                        FeatureView::Stripped,
-                        mode,
-                        &self.embedder,
-                        &ex,
-                        obs,
-                    ),
-                ),
-                None => EmbeddedExtraction::new_observed(&self.embedder, &ex, obs),
+        let prepared = self.prepare(binary, false, cache, obs)?;
+        Ok(self.classify(&prepared, obs))
+    }
+
+    /// The front half of inference, shared by every front end
+    /// (`cati infer`, `cati serve`, [`Cati::infer_cached`],
+    /// [`Cati::infer_lenient`]): extract the stripped view of
+    /// `binary` under the model's context mode, then embed one row per
+    /// VUC (bumping `embed.windows`).
+    ///
+    /// A strict request (`lenient == false`) goes through `cache`
+    /// when one is given. A lenient request extracts through
+    /// [`cati_analysis::extract_lenient_mode_observed`], never touches
+    /// the cache, never fails, and carries its coverage and
+    /// diagnostics in [`Prepared::report`]; on a binary the strict
+    /// path accepts, its rows are bit-identical to the strict ones.
+    ///
+    /// # Errors
+    ///
+    /// A strict request fails if the binary's text section does not
+    /// decode or its debug section is corrupt.
+    pub fn prepare(
+        &self,
+        binary: &Binary,
+        lenient: bool,
+        cache: Option<&ArtifactCache>,
+        obs: &dyn Observer,
+    ) -> Result<Prepared, ExtractError> {
+        let (view, mode) = (FeatureView::Stripped, self.config.context_mode);
+        let cache = cache.filter(|_| !lenient);
+        let (extraction, report) = if lenient {
+            let l = extract_lenient_mode_observed(binary, view, mode, obs);
+            (l.extraction, Some((l.coverage, l.diagnostics)))
+        } else {
+            let ex = match cache {
+                Some(c) => c.extraction_mode(binary, view, mode, obs)?,
+                None => extract_mode_observed(binary, view, mode, obs)?,
             };
-            self.evaluate_session_inner(&session, obs)
+            (ex, None)
+        };
+        let rows = self.config.with_threads(|| match cache {
+            Some(c) => c.embeddings_mode(binary, view, mode, &self.embedder, &extraction, obs),
+            None => embed_observed(&extraction, &self.embedder, obs),
         });
-        Ok(inferred_vars(&ex, &eval))
+        Ok(Prepared {
+            extraction,
+            rows,
+            report,
+        })
+    }
+
+    /// The back half of one-shot inference: one classification pass
+    /// over `prepared.rows` and the vote, under an `evaluate` span.
+    pub fn classify(&self, prepared: &Prepared, obs: &dyn Observer) -> Vec<InferredVar> {
+        self.config.with_threads(|| {
+            let _span = SpanGuard::enter(obs, "evaluate");
+            let dists = self.stages.leaf_distributions_observed(&prepared.rows, obs);
+            self.infer_prepared(&prepared.extraction, dists, obs)
+        })
     }
 
     /// Final user-facing inference output from an extraction plus
-    /// precomputed leaf distributions — the tail of the serve
-    /// daemon's cross-request micro-batch: many extractions are
-    /// embedded, their rows concatenated through one
-    /// [`MultiStage::leaf_distributions_batch`] pass, and each
-    /// request's row slice flows through here. Bit-identical to
-    /// [`Cati::infer`] on the same binary because both end in
-    /// [`Cati::evaluate_dists`]'s voting path.
+    /// precomputed leaf distributions (one 19-class row per VUC) — the
+    /// vote that ends every inference path. The serve daemon's
+    /// cross-request micro-batch concatenates many requests' rows
+    /// through one [`MultiStage::leaf_distributions_observed`] pass
+    /// and hands each request's row slice here; per-row
+    /// classification is row-independent, so a slice of a larger
+    /// batch is bit-identical to a dedicated pass.
     ///
     /// # Panics
     ///
@@ -457,41 +464,32 @@ impl Cati {
         vuc_dists: Tensor,
         obs: &dyn Observer,
     ) -> Vec<InferredVar> {
-        let eval = self.evaluate_dists(ex, vuc_dists, obs);
+        assert_eq!(
+            vuc_dists.rows(),
+            ex.vucs.len(),
+            "one distribution row per VUC: got {} rows for {} VUCs",
+            vuc_dists.rows(),
+            ex.vucs.len()
+        );
+        let eval = self.vote_dists(ex, vuc_dists, obs);
         inferred_vars(ex, &eval)
     }
 
     /// Fault-isolated inference: never fails, reports what it skipped.
-    ///
-    /// See [`Cati::infer_lenient_observed`].
+    /// On a binary the strict path accepts, the returned `vars` are
+    /// **bit-identical** to [`Cati::infer`]'s and the coverage is
+    /// complete; see [`Cati::prepare`].
     pub fn infer_lenient(&self, binary: &Binary) -> InferReport {
-        self.infer_lenient_observed(binary, &cati_obs::NOOP)
-    }
-
-    /// [`Cati::infer`] that degrades instead of refusing: extraction
-    /// runs through [`cati_analysis::extract_lenient_observed`], so a
-    /// corrupt debug section, undecodable function bodies, or decode
-    /// gaps become [`Diagnostics`] and a reduced [`Coverage`] rather
-    /// than an error. On a binary the strict path accepts, the
-    /// returned `vars` are **bit-identical** to [`Cati::infer`]'s and
-    /// the coverage is complete.
-    pub fn infer_lenient_observed(&self, binary: &Binary, obs: &dyn Observer) -> InferReport {
-        let _span = SpanGuard::enter(obs, "infer");
-        let lenient = extract_lenient_mode_observed(
-            binary,
-            FeatureView::Stripped,
-            self.config.context_mode,
-            obs,
-        );
-        let eval = self.config.with_threads(|| {
-            let session =
-                EmbeddedExtraction::new_observed(&self.embedder, &lenient.extraction, obs);
-            self.evaluate_session_inner(&session, obs)
-        });
+        let obs = &cati_obs::NOOP;
+        let Ok(prepared) = self.prepare(binary, true, None, obs) else {
+            unreachable!("lenient preparation never fails")
+        };
+        let vars = self.classify(&prepared, obs);
+        let (coverage, diagnostics) = prepared.report.unwrap_or_default();
         InferReport {
-            vars: inferred_vars(&lenient.extraction, &eval),
-            coverage: lenient.coverage,
-            diagnostics: lenient.diagnostics,
+            vars,
+            coverage,
+            diagnostics,
         }
     }
 
@@ -541,23 +539,6 @@ impl Cati {
         crate::model_io::load_model(path.as_ref())
     }
 
-    /// Quantizes every weight matrix in place — both Word2Vec
-    /// embedding matrices and all stage-CNN filter/projection weights
-    /// (biases excepted) — snapping them to the chosen grid and
-    /// dequantizing back to `f32` (see [`cati_nn::quant`]). The
-    /// opt-in quantized inference mode: still fully deterministic,
-    /// but *not* bit-identical to the f32 model; the accuracy cost is
-    /// measured by the bench parity harness and recorded in the run
-    /// manifest. Applied before any inference runs, so the embedder's
-    /// column cache never holds full-precision floats (it is cleared
-    /// here).
-    pub fn quantize(&mut self, mode: QuantMode) {
-        self.embedder.quantize(mode);
-        for (_, cnn) in self.stages.models_mut() {
-            cnn.quantize(mode);
-        }
-    }
-
     /// How many weight tensors currently read straight out of a
     /// memory-mapped CATI1 v2 container (zero for trained or
     /// JSON/v1-loaded models) — diagnostics for the zero-copy load
@@ -582,6 +563,34 @@ fn config_digest(config: &Config) -> String {
         // fail, but a fixed sentinel keeps this total.
         Err(_) => "config-unserializable".to_string(),
     }
+}
+
+/// The JSON body `cati infer --json` prints and `POST /infer`
+/// returns, so the two front ends cannot drift: `vars` sorted by
+/// location (in place, so a caller's text output sees the same order)
+/// and pretty-printed — alone for a strict request, inside the full
+/// [`InferReport`] when `report` carries a lenient request's coverage
+/// and diagnostics.
+///
+/// # Errors
+///
+/// Propagates serialization failures.
+pub fn render_json(
+    vars: &mut Vec<InferredVar>,
+    report: Option<&(Coverage, Diagnostics)>,
+) -> serde_json::Result<String> {
+    vars.sort_by_key(|v| (v.key.func, v.key.offset));
+    let Some((coverage, diagnostics)) = report else {
+        return serde_json::to_string_pretty(vars);
+    };
+    let full = InferReport {
+        vars: std::mem::take(vars),
+        coverage: *coverage,
+        diagnostics: diagnostics.clone(),
+    };
+    let body = serde_json::to_string_pretty(&full);
+    *vars = full.vars;
+    body
 }
 
 /// Maps an evaluation back onto its extraction's variables — the

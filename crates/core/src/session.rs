@@ -8,11 +8,11 @@
 //! each is computed exactly once per session instead of once per
 //! consumer.
 
-use crate::dataset::embed_extraction;
+use crate::dataset::embed_observed;
 use cati_analysis::Extraction;
 use cati_embedding::VucEmbedder;
 use cati_nn::Tensor;
-use cati_obs::{Event, Observer};
+use cati_obs::Observer;
 
 /// An extraction plus the embedded tensor of each of its VUCs
 /// (parallel to `Extraction::vucs`).
@@ -38,29 +38,7 @@ impl<'a> EmbeddedExtraction<'a> {
         ex: &'a Extraction,
         obs: &dyn Observer,
     ) -> EmbeddedExtraction<'a> {
-        let xs = embed_extraction(ex, embedder);
-        obs.event(&Event::Counter {
-            name: "embed.windows",
-            delta: ex.vucs.len() as u64,
-        });
-        EmbeddedExtraction { ex, xs }
-    }
-
-    /// Wraps tensors computed elsewhere (e.g. loaded from the on-disk
-    /// artifact cache). No `embed.windows` are counted — nothing was
-    /// embedded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is not parallel to `ex.vucs`.
-    pub fn from_embeddings(ex: &'a Extraction, xs: Tensor) -> EmbeddedExtraction<'a> {
-        assert_eq!(
-            xs.rows(),
-            ex.vucs.len(),
-            "one tensor row per VUC: got {} rows for {} VUCs",
-            xs.rows(),
-            ex.vucs.len()
-        );
+        let xs = embed_observed(ex, embedder, obs);
         EmbeddedExtraction { ex, xs }
     }
 
@@ -78,12 +56,6 @@ impl<'a> EmbeddedExtraction<'a> {
     /// The tensor row of one VUC.
     pub fn embedding(&self, vuc: usize) -> &[f32] {
         self.xs.row(vuc)
-    }
-
-    /// Consumes the session, returning the tensor matrix (for handing
-    /// to the artifact cache).
-    pub fn into_embeddings(self) -> Tensor {
-        self.xs
     }
 }
 
@@ -107,18 +79,10 @@ mod tests {
             rec.metrics().counter_value("embed.windows"),
             ex.vucs.len() as u64
         );
-        // Tensors match direct embedding, and a wrapped session
-        // carries them unchanged without re-counting.
+        // Tensors match direct embedding.
         assert_eq!(
             session.embedding(0),
             &cati.embedder.embed_window(&ex.vucs[0].insns)[..]
         );
-        let xs = session.into_embeddings();
-        let wrapped = EmbeddedExtraction::from_embeddings(&ex, xs);
-        assert_eq!(
-            rec.metrics().counter_value("embed.windows"),
-            ex.vucs.len() as u64
-        );
-        assert_eq!(wrapped.extraction().vucs.len(), ex.vucs.len());
     }
 }

@@ -4,7 +4,7 @@
 //! at paper scale); the resulting input vectors feed the VUC embedder.
 
 use crate::vocab::Vocab;
-use cati_nn::{ParamBuf, QuantMode};
+use cati_nn::ParamBuf;
 use cati_obs::{Event, Observer, SpanGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -212,16 +212,6 @@ impl Word2Vec {
         let id = self.vocab.id(token)?;
         let i = id as usize * self.cfg.dim;
         Some(&self.input[i..i + self.cfg.dim])
-    }
-
-    /// Quantizes both embedding matrices in place (per-token rows for
-    /// int8). Part of the opt-in quantized inference mode; callers
-    /// must apply it before any embedding column is computed or
-    /// cached.
-    pub fn quantize(&mut self, mode: QuantMode) {
-        let dim = self.cfg.dim.max(1);
-        cati_nn::quant::quantize_dequant_rows(self.input.to_mut(), dim, mode);
-        cati_nn::quant::quantize_dequant_rows(self.output.to_mut(), dim, mode);
     }
 
     /// How many of the two embedding matrices currently read straight

@@ -8,7 +8,7 @@
 //! same column triples recur across the rows of a batch. A
 //! [`Conv1Index`] maps every (row, column) of a batch to a *slot* —
 //! one per distinct window of input columns — and
-//! [`Conv1Index::fill`] runs conv1 + ReLU once per slot.
+//! `Conv1Index::fill` runs conv1 + ReLU once per slot.
 //!
 //! Parity with the per-sample path ([`Conv1d::forward`]) is bitwise:
 //!

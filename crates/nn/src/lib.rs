@@ -36,7 +36,6 @@ pub mod mmap;
 pub mod model;
 pub mod optim;
 pub mod param;
-pub mod quant;
 pub mod tensor;
 
 pub use conv1_cache::Conv1Index;
@@ -44,5 +43,4 @@ pub use mmap::{MapSlice, MappedFile};
 pub use model::{NoHook, SampleSource, TextCnn, TextCnnConfig, TrainHook, Workspace};
 pub use optim::{Adam, GradBuffers, Sgd};
 pub use param::ParamBuf;
-pub use quant::QuantMode;
 pub use tensor::{argmax, Rows, Tensor};

@@ -340,22 +340,6 @@ impl TextCnn {
         ]
     }
 
-    /// Quantizes the *weight* matrices in place with `mode` (biases
-    /// stay f32 — they are tiny and additive, so quantizing them buys
-    /// nothing and costs accuracy). Runtime arithmetic stays f32: the
-    /// weights are quantized then immediately dequantized, so this
-    /// changes the stored values once and nothing else about
-    /// inference.
-    pub fn quantize(&mut self, mode: crate::quant::QuantMode) {
-        use crate::quant::quantize_dequant_rows;
-        let row1 = self.conv1.in_ch * self.conv1.k;
-        quantize_dequant_rows(self.conv1.w.to_mut(), row1, mode);
-        let row2 = self.conv2.in_ch * self.conv2.k;
-        quantize_dequant_rows(self.conv2.w.to_mut(), row2, mode);
-        quantize_dequant_rows(self.fc1.w.to_mut(), self.fc1.in_dim, mode);
-        quantize_dequant_rows(self.fc2.w.to_mut(), self.fc2.in_dim, mode);
-    }
-
     /// Forward pass into `ws`, keeping the activations and argmaxes
     /// [`TextCnn::backward`] needs; returns the logits slice.
     pub fn forward<'w>(&self, x: &[f32], ws: &'w mut Workspace) -> &'w [f32] {

@@ -97,7 +97,7 @@ impl Tensor {
     /// Builds a `rows × cols` tensor by filling each row with
     /// `fill(state, row_index, row)`, data-parallel across the
     /// ambient rayon thread count. Each worker thread owns one
-    /// `init()` state (scratch space — [`fill`] must write the row as
+    /// `init()` state (scratch space — `fill` must write the row as
     /// a pure function of its index). Rows are disjoint positional
     /// writes, so the result is bit-identical for any thread count.
     pub fn build_rows<S>(

@@ -9,12 +9,15 @@
 //!    shed at the door, never by stalling the socket.
 //! 2. Inference worker threads drain the queue in **micro-batches**:
 //!    everything waiting (up to `max_batch`) is taken at once, each
-//!    request's extraction is embedded (through the shared
-//!    [`ArtifactCache`] when mounted), the rows are concatenated, and
-//!    one [`cati::MultiStage::leaf_distributions_batch`] pass
-//!    classifies the whole batch. Per-row classification is
-//!    row-independent, so every response is bit-identical to one-shot
-//!    `cati infer` on the same binary.
+//!    request is extracted and embedded by [`Cati::prepare`] (through
+//!    the shared [`ArtifactCache`] when mounted), the rows are
+//!    concatenated, and one
+//!    [`cati::MultiStage::leaf_distributions_observed`] pass
+//!    classifies the whole batch; each request's slice is voted by
+//!    [`Cati::infer_prepared`] and rendered by [`cati::render_json`].
+//!    That is the path `cati infer` runs, and per-row classification
+//!    is row-independent, so every response is bit-identical to
+//!    one-shot `cati infer --json` on the same binary.
 //! 3. The connection thread waits on a response slot under the
 //!    request's hang limit (the fuzz machinery, [`HangLimit`]). A
 //!    deadline miss answers 504 immediately and **abandons** the
@@ -28,13 +31,11 @@
 
 use crate::http::{Request, RequestError, Response};
 use crate::timeout::HangLimit;
-use cati::{encode_cati1, ArtifactCache, Cati, Coverage, Diagnostics, InferReport, Tensor};
-use cati_analysis::{
-    digest_bytes, extract_lenient_mode_observed, extract_mode_observed, Extraction, FeatureView,
-};
+use cati::{encode_cati1, render_json, ArtifactCache, Cati, Prepared, Tensor};
+use cati_analysis::digest_bytes;
 use cati_asm::binary::Binary;
 use cati_obs::metrics::{MetricsSnapshot, DEFAULT_BUCKETS};
-use cati_obs::{Event, Observer, Recorder, RecorderConfig, SpanGuard};
+use cati_obs::{Observer, Recorder, RecorderConfig, SpanGuard};
 use serde_json::{json, Value};
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -751,14 +752,11 @@ fn reload_route(state: &Arc<ServeState>, request: &Request) -> Response {
     .with_header("x-cati-model-version", version)
 }
 
-/// One request's extraction + embedded rows, ready for the shared
+/// One request's [`Prepared`] front half, waiting for the shared
 /// classification pass.
-struct Prepared {
+struct Ready {
     job: Job,
-    ex: Extraction,
-    /// Lenient-mode coverage report (`None` = strict request).
-    report: Option<(Coverage, Diagnostics)>,
-    xs: Tensor,
+    prepared: Prepared,
     /// When this request finished embedding (start of its batch-wait
     /// phase).
     prepared_at: Instant,
@@ -809,7 +807,7 @@ fn process_batch(state: &Arc<ServeState>, model: &ModelSlot, jobs: Vec<Job>) {
             drained.duration_since(job.admitted).as_secs_f64() * 1e3,
         );
     }
-    let mut prepared: Vec<Prepared> = Vec::with_capacity(jobs.len());
+    let mut ready: Vec<Ready> = Vec::with_capacity(jobs.len());
     for job in jobs {
         if let Some(delay) = job.test_delay {
             std::thread::sleep(delay);
@@ -819,61 +817,27 @@ fn process_batch(state: &Arc<ServeState>, model: &ModelSlot, jobs: Vec<Job>) {
             continue;
         }
         let embed_t0 = Instant::now();
-        let mode = cati.config.context_mode;
-        let (ex, report) = if job.lenient {
-            let lenient =
-                extract_lenient_mode_observed(&job.binary, FeatureView::Stripped, mode, obs);
-            (
-                lenient.extraction,
-                Some((lenient.coverage, lenient.diagnostics)),
-            )
-        } else {
-            let extracted = match &state.cache {
-                Some(cache) => cache.extraction_mode(&job.binary, FeatureView::Stripped, mode, obs),
-                None => extract_mode_observed(&job.binary, FeatureView::Stripped, mode, obs),
-            };
-            match extracted {
-                Ok(ex) => (ex, None),
-                Err(e) => {
-                    state.recorder.metrics().inc("serve.errors", 1);
-                    let body =
-                        serde_json::to_vec(&json!({ "error": e.to_string() })).unwrap_or_default();
-                    finish(state, &job, Response::json(422, body), &model.version);
-                    continue;
-                }
-            }
-        };
-        let xs = match (&state.cache, job.lenient) {
-            (Some(cache), false) => cache.embeddings_mode(
-                &job.binary,
-                FeatureView::Stripped,
-                mode,
-                &cati.embedder,
-                &ex,
-                obs,
-            ),
-            _ => {
-                let xs = cati::dataset::embed_extraction(&ex, &cati.embedder);
-                obs.event(&Event::Counter {
-                    name: "embed.windows",
-                    delta: ex.vucs.len() as u64,
+        match cati.prepare(&job.binary, job.lenient, state.cache.as_ref(), obs) {
+            Ok(prepared) => {
+                metrics.observe(
+                    "serve.phase.embed_ms",
+                    embed_t0.elapsed().as_secs_f64() * 1e3,
+                );
+                ready.push(Ready {
+                    job,
+                    prepared,
+                    prepared_at: Instant::now(),
                 });
-                xs
             }
-        };
-        metrics.observe(
-            "serve.phase.embed_ms",
-            embed_t0.elapsed().as_secs_f64() * 1e3,
-        );
-        prepared.push(Prepared {
-            job,
-            ex,
-            report,
-            xs,
-            prepared_at: Instant::now(),
-        });
+            Err(e) => {
+                state.recorder.metrics().inc("serve.errors", 1);
+                let body =
+                    serde_json::to_vec(&json!({ "error": e.to_string() })).unwrap_or_default();
+                finish(state, &job, Response::json(422, body), &model.version);
+            }
+        }
     }
-    if prepared.is_empty() {
+    if ready.is_empty() {
         return;
     }
 
@@ -881,21 +845,21 @@ fn process_batch(state: &Arc<ServeState>, model: &ModelSlot, jobs: Vec<Job>) {
     // batch. Rows are concatenated in admission order; per-row
     // independence of the CNN forward pass makes each request's slice
     // bit-identical to a dedicated `cati infer` run.
-    let total_rows: usize = prepared.iter().map(|p| p.xs.rows()).sum();
-    let cols = prepared
+    let total_rows: usize = ready.iter().map(|r| r.prepared.rows.rows()).sum();
+    let cols = ready
         .iter()
-        .find(|p| p.xs.rows() > 0)
-        .map_or(0, |p| p.xs.cols());
+        .find(|r| r.prepared.rows.rows() > 0)
+        .map_or(0, |r| r.prepared.rows.cols());
     let mut data = Vec::with_capacity(total_rows * cols);
-    for p in &prepared {
-        data.extend_from_slice(p.xs.as_slice());
+    for r in &ready {
+        data.extend_from_slice(r.prepared.rows.as_slice());
     }
     let batch_xs = Tensor::from_flat(total_rows, cols, data);
     let classify_t0 = Instant::now();
-    for p in &prepared {
+    for r in &ready {
         metrics.observe(
             "serve.phase.batch_wait_ms",
-            classify_t0.duration_since(p.prepared_at).as_secs_f64() * 1e3,
+            classify_t0.duration_since(r.prepared_at).as_secs_f64() * 1e3,
         );
     }
     let dists = cati
@@ -903,42 +867,29 @@ fn process_batch(state: &Arc<ServeState>, model: &ModelSlot, jobs: Vec<Job>) {
         .with_threads(|| cati.stages.leaf_distributions_observed(&batch_xs, obs));
     let num_classes = dists.cols();
     let leaf_ms = classify_t0.elapsed().as_secs_f64() * 1e3;
-    for _ in &prepared {
+    for _ in &ready {
         metrics.observe("serve.phase.leaf_ms", leaf_ms);
     }
 
     let mut offset = 0usize;
-    for p in prepared {
+    for r in ready {
         let vote_t0 = Instant::now();
-        let n = p.ex.vucs.len();
-        let rows = dists.as_slice()[offset * num_classes..(offset + n) * num_classes].to_vec();
+        let n = r.prepared.rows.rows();
+        let slice = dists.as_slice()[offset * num_classes..(offset + n) * num_classes].to_vec();
         offset += n;
-        let sub = Tensor::from_flat(n, num_classes, rows);
-        let mut vars = cati.infer_prepared(&p.ex, sub, obs);
-        vars.sort_by_key(|v| (v.key.func, v.key.offset));
-        // The bodies mirror `cati infer --json` byte for byte: a
-        // sorted pretty-printed Vec<InferredVar> (strict) or a full
-        // InferReport (lenient).
-        let body = match p.report {
-            Some((coverage, diagnostics)) => serde_json::to_string_pretty(&InferReport {
-                vars,
-                coverage,
-                diagnostics,
-            }),
-            None => serde_json::to_string_pretty(&vars),
-        };
-        let response = match body {
-            Ok(body) => Response::json(200, body.into_bytes())
-                .with_header("x-cati-model-version", &model.version),
+        let sub = Tensor::from_flat(n, num_classes, slice);
+        let mut vars = cati.infer_prepared(&r.prepared.extraction, sub, obs);
+        let response = match render_json(&mut vars, r.prepared.report.as_ref()) {
+            Ok(body) => Response::json(200, body.into_bytes()),
             Err(e) => Response::json(
                 500,
                 serde_json::to_vec(&json!({ "error": format!("serialize: {e}") }))
                     .unwrap_or_default(),
-            )
-            .with_header("x-cati-model-version", &model.version),
-        };
+            ),
+        }
+        .with_header("x-cati-model-version", &model.version);
         metrics.observe("serve.phase.vote_ms", vote_t0.elapsed().as_secs_f64() * 1e3);
-        finish(state, &p.job, response, &model.version);
+        finish(state, &r.job, response, &model.version);
     }
 }
 

@@ -11,7 +11,9 @@ use std::sync::OnceLock;
 
 use cati::obs::{Recorder, NOOP};
 use cati::{ArtifactCache, Cati, CatiError, Config, PipelineStage};
-use cati_analysis::{extract, extract_lenient, FeatureView};
+use cati_analysis::{
+    extract, extract_lenient_mode_observed, ContextMode, FeatureView, LenientExtraction,
+};
 use cati_dwarf::{
     CType, DebugInfo, DwarfError, FuncRecord, IntWidth, Signedness, VarLocation, VarRecord,
 };
@@ -23,6 +25,11 @@ fn fixture_dir() -> PathBuf {
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/fixtures/hostile"
     ))
+}
+
+/// Function-local lenient extraction.
+fn extract_lenient(binary: &cati_asm::binary::Binary, view: FeatureView) -> LenientExtraction {
+    extract_lenient_mode_observed(binary, view, ContextMode::FunctionLocal, &NOOP)
 }
 
 /// One small trained system shared by every test in this file.
@@ -104,7 +111,7 @@ fn every_mutator_class_degrades_honestly_at_extraction() {
 /// window fills is byte-identical in the interprocedural window.
 #[test]
 fn interproc_lenient_degrades_splices_without_poisoning() {
-    use cati_analysis::{extract_lenient_mode, extract_mode, ContextMode};
+    use cati_analysis::extract_mode;
     use cati_asm::generalize::GenInsn;
     let (_, corpus) = trained();
     let blank = GenInsn::blank();
@@ -116,10 +123,11 @@ fn interproc_lenient_degrades_splices_without_poisoning() {
             ContextMode::Interprocedural,
         )
         .unwrap();
-        let clean = extract_lenient_mode(
+        let clean = extract_lenient_mode_observed(
             &built.binary.strip(),
             FeatureView::Stripped,
             ContextMode::Interprocedural,
+            &NOOP,
         );
         assert_eq!(strict.vars, clean.extraction.vars, "clean lenient drifted");
         assert_eq!(strict.vucs, clean.extraction.vucs, "clean lenient drifted");
@@ -128,15 +136,17 @@ fn interproc_lenient_degrades_splices_without_poisoning() {
             for s in 0..2u64 {
                 let seed = 5000 * (bi as u64 + 1) + s;
                 let (mutant, record) = cati_synbin::mutate(&built.binary, kind, seed);
-                let ip = extract_lenient_mode(
+                let ip = extract_lenient_mode_observed(
                     &mutant,
                     FeatureView::Stripped,
                     ContextMode::Interprocedural,
+                    &NOOP,
                 );
-                let fl = extract_lenient_mode(
+                let fl = extract_lenient_mode_observed(
                     &mutant,
                     FeatureView::Stripped,
                     ContextMode::FunctionLocal,
+                    &NOOP,
                 );
                 let ip_keys: Vec<_> = ip.extraction.vars.iter().map(|v| v.key).collect();
                 let fl_keys: Vec<_> = fl.extraction.vars.iter().map(|v| v.key).collect();

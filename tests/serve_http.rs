@@ -661,6 +661,59 @@ fn shutdown_is_answered_before_wait_returns() {
     }
 }
 
+/// Served and one-shot inference run the same prepare → classify →
+/// vote → render path, so they agree on hostile input too. For one
+/// mutant per corruption family of a stripped test binary, the lenient
+/// body equals `cati infer --lenient --json`; a strict request answers
+/// 200 with the `cati infer --json` body when `Cati::infer` succeeds
+/// and 422 with its error when it fails.
+#[test]
+fn hostile_binaries_serve_exactly_what_one_shot_inference_prints() {
+    let (cati, corpus) = trained();
+    let handle = start(ephemeral(ServeConfig::default()));
+    let stripped = corpus.test[0].binary.strip();
+    let (mut degraded, mut refused) = (0, 0);
+    for (i, kind) in cati_synbin::MutationKind::ALL.into_iter().enumerate() {
+        let (mutant, record) = cati_synbin::mutate(&stripped, kind, 7000 + i as u64);
+        let body = serde_json::to_vec(&mutant).unwrap();
+
+        let lenient = Request::new("POST", "/infer?mode=lenient").with_body(body.clone());
+        let response = roundtrip(handle.addr(), &lenient).unwrap();
+        assert_eq!(response.status, 200, "{record}: {}", text(&response));
+        assert_eq!(
+            text(&response),
+            one_shot_lenient(cati, &mutant),
+            "lenient body drifted on {record}"
+        );
+        let report: InferReport = serde_json::from_slice(&response.body).unwrap();
+        degraded += usize::from(!report.coverage.is_complete());
+
+        let strict = Request::new("POST", "/infer").with_body(body);
+        let response = roundtrip(handle.addr(), &strict).unwrap();
+        match cati.infer(&mutant) {
+            Ok(_) => {
+                assert_eq!(response.status, 200, "{record}: {}", text(&response));
+                assert_eq!(
+                    text(&response),
+                    one_shot_strict(cati, &mutant),
+                    "strict body drifted on {record}"
+                );
+            }
+            Err(e) => {
+                refused += 1;
+                assert_eq!(response.status, 422, "{record}: {}", text(&response));
+                let error: serde_json::Value = serde_json::from_slice(&response.body).unwrap();
+                assert_eq!(error["error"].as_str(), Some(e.to_string().as_str()));
+            }
+        }
+    }
+    assert!(
+        degraded > 0 && refused > 0,
+        "mutants must reach the degraded and the refused branches \
+         ({degraded} degraded, {refused} refused)"
+    );
+}
+
 fn text(response: &Response) -> String {
     String::from_utf8_lossy(&response.body).into_owned()
 }
